@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-metrics check bench bench-smoke profile difftest difftest-spill difftest-shuffle difftest-scan difftest-query difftest-compact fuzz-smoke
+.PHONY: all build test race vet vet-metrics check bench bench-smoke profile difftest difftest-spill difftest-shuffle difftest-scan difftest-query difftest-compact fuzz-smoke e2ebench e2ebench-test
 
 all: check
 
@@ -128,3 +128,17 @@ bench-smoke: build
 # docs/PERFORMANCE.md).
 profile: build
 	$(GO) run ./cmd/benchmark -exp pipeline -cpuprofile cpu.prof -memprofile mem.prof
+
+# End-to-end benchmark of the real chain (fleet pipeline -> segment
+# store -> served queries -> mining), built from this checkout under
+# .bench_build (see e2ebench/README.md). W picks the workload
+# (fleet-syn or fleet-focused), SEED the input seed.
+W ?= fleet-syn
+SEED ?= 1
+e2ebench:
+	bash e2ebench/run.sh --workload $(W) --seed $(SEED) --seconds 40 --trace 0
+
+# The benchmark's own tests (its own Go module, so `go test ./...` at
+# the root skips it).
+e2ebench-test:
+	cd e2ebench && $(GO) test ./...

@@ -1,11 +1,13 @@
-// Package colcodec is the hand-rolled columnar partition codec of the
-// v3 cluster wire protocol. It replaces per-row gob reflection (which
-// encodes every cell as a 5-field relation.Value struct) with per-column
-// typed vectors: varint-packed ints and bools, raw little-endian
-// float64s, length-prefixed string/bytes arenas, and a null bitmap per
-// column. The schema is NOT part of the stream — both ends of the wire
-// already share it (the driver computed it; the executor received it in
-// the stage message) — so the payload scales with data bytes only.
+// Package colcodec is the hand-rolled columnar codec shared by the
+// cluster wire protocol (task payloads, shuffle frames), spill runs and
+// the segment store's per-column chunks. It replaces per-row gob
+// reflection (which encodes every cell as a 5-field relation.Value
+// struct) with per-column typed vectors: varint-packed ints and bools,
+// raw little-endian float64s, length-prefixed string/bytes arenas, and
+// a null bitmap per column. The schema is NOT part of the stream — both
+// ends already share it (the driver computed it and shipped it in the
+// stage message; a segment footer stores it) — so the payload scales
+// with data bytes only.
 //
 // Layout (all multi-byte integers are unsigned varints unless noted):
 //
@@ -34,7 +36,10 @@
 // unchanged.
 //
 // Encode buffers come from a sync.Pool so steady-state encoding does
-// not regrow buffers per task.
+// not regrow buffers per task; DEFLATE writers and the inflate state
+// are pooled too (pool.go). DecodeInto decodes straight into caller
+// rows, so a segment's column chunks fill one row set without an
+// intermediate per-column copy.
 package colcodec
 
 import (
@@ -131,14 +136,34 @@ func Encode(s relation.Schema, rows []relation.Row, opts Options) ([]byte, error
 			return nil, fmt.Errorf("colcodec: row %d has %d cells, schema has %d", i, len(r), ncols)
 		}
 	}
+	return encodeColumns(rows, 0, ncols, opts)
+}
 
+// EncodeColumn serializes column ci of rows as a one-column payload: the
+// bytes of Encode over the one-cell rows {r[ci]} (the segment store's
+// per-column chunk), without building those rows.
+func EncodeColumn(rows []relation.Row, ci int, opts Options) ([]byte, error) {
+	if ci < 0 {
+		return nil, fmt.Errorf("colcodec: negative column index %d", ci)
+	}
+	for i, r := range rows {
+		if ci >= len(r) {
+			return nil, fmt.Errorf("colcodec: row %d has %d cells, no column %d", i, len(r), ci)
+		}
+	}
+	return encodeColumns(rows, ci, 1, opts)
+}
+
+// encodeColumns writes the payload of columns [first, first+ncols) of
+// rows, whose widths the caller has checked.
+func encodeColumns(rows []relation.Row, first, ncols int, opts Options) ([]byte, error) {
 	encoded := opts.Encodings && len(rows) <= maxEncodedRows
 
 	body := bufPool.Get().(*bytes.Buffer)
 	body.Reset()
 	defer bufPool.Put(body)
 	var scratch [binary.MaxVarintLen64]byte
-	for ci := 0; ci < ncols; ci++ {
+	for ci := first; ci < first+ncols; ci++ {
 		if encoded {
 			encodeColumnSelect(body, rows, ci, scratch[:])
 		} else {
@@ -162,7 +187,8 @@ func Encode(s relation.Schema, rows []relation.Row, opts Options) ([]byte, error
 	out.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(rows)))])
 	out.Write(scratch[:binary.PutUvarint(scratch[:], uint64(ncols))])
 	if opts.Compress {
-		fw, err := flate.NewWriter(out, flateLevel(opts.Level))
+		level := flateLevel(opts.Level)
+		fw, err := getDeflater(out, level)
 		if err != nil {
 			return nil, err
 		}
@@ -172,6 +198,7 @@ func Encode(s relation.Schema, rows []relation.Row, opts Options) ([]byte, error
 		if err := fw.Close(); err != nil {
 			return nil, err
 		}
+		putDeflater(fw, level)
 	} else {
 		out.Write(body.Bytes())
 	}
@@ -329,9 +356,67 @@ func writeBitmap(w *bytes.Buffer, rows []relation.Row, bit func(relation.Row) bo
 }
 
 // Decode reconstructs the rows of a payload produced by Encode against
-// the same schema. Every length and offset is bounds-checked; corrupt
+// the same schema: DecodeInto over freshly allocated rows sharing one
+// backing array. Every length and offset is bounds-checked; corrupt
 // input yields an error, never a panic.
 func Decode(s relation.Schema, data []byte) ([]relation.Row, error) {
+	p, err := openPayload(s, data)
+	if err != nil {
+		return nil, err
+	}
+	defer p.release()
+	rows := make([]relation.Row, p.n)
+	cells := make([]relation.Value, p.n*p.ncols) // one backing array
+	for i := range rows {
+		rows[i] = cells[i*p.ncols : (i+1)*p.ncols : (i+1)*p.ncols]
+	}
+	if err := p.decodeColumns(rows, 0); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// DecodeInto decodes a payload produced by Encode against schema s
+// straight into caller-owned rows: payload column ci lands in
+// rows[i][off+ci], and no other cell is touched, so several payloads
+// (a segment's per-column chunks) can fill one row set side by side.
+// It runs every check Decode runs, and also requires len(rows) to equal
+// the payload's row count and every row to have room for the columns.
+// Null cells are left as they are (the zero Value when rows are fresh).
+// No decoded cell aliases data or the pooled inflate buffer.
+func DecodeInto(s relation.Schema, data []byte, rows []relation.Row, off int) error {
+	if off < 0 {
+		return fmt.Errorf("colcodec: negative column offset %d", off)
+	}
+	for i, r := range rows {
+		if len(r) < off+s.Len() {
+			return fmt.Errorf("colcodec: destination row %d has %d cells, columns [%d,%d) do not fit", i, len(r), off, off+s.Len())
+		}
+	}
+	p, err := openPayload(s, data)
+	if err != nil {
+		return err
+	}
+	defer p.release()
+	if p.n != len(rows) {
+		return fmt.Errorf("colcodec: payload has %d rows, destination has %d", p.n, len(rows))
+	}
+	return p.decodeColumns(rows, off)
+}
+
+// payload is a header-checked payload whose (inflated) body passed the
+// plausibility gate, ready for column decode.
+type payload struct {
+	n, ncols int
+	encoded  bool
+	rd       reader
+	z        *inflater // pooled inflate state when the body was compressed
+}
+
+// openPayload validates the header, inflates a compressed body into a
+// pooled buffer under the ratio cap, and gates the row claim against
+// the body size. The caller must release the payload.
+func openPayload(s relation.Schema, data []byte) (*payload, error) {
 	if len(data) < 3 || data[0] != magic0 || data[1] != magic1 {
 		return nil, fmt.Errorf("colcodec: bad magic")
 	}
@@ -339,20 +424,19 @@ func Decode(s relation.Schema, data []byte) ([]relation.Row, error) {
 	if flags&^byte(flagCompressed|flagEncoded) != 0 {
 		return nil, fmt.Errorf("colcodec: unknown flags %#x", flags)
 	}
-	encoded := flags&flagEncoded != 0
-	rd := &reader{buf: data[3:]}
-	nrows, err := rd.uvarint()
+	p := &payload{encoded: flags&flagEncoded != 0, rd: reader{buf: data[3:]}}
+	nrows, err := p.rd.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("colcodec: row count: %w", err)
 	}
-	ncols, err := rd.uvarint()
+	ncols, err := p.rd.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("colcodec: column count: %w", err)
 	}
 	if nrows > maxDecodeRows {
 		return nil, fmt.Errorf("colcodec: row count %d exceeds limit", nrows)
 	}
-	if encoded && nrows > maxEncodedRows {
+	if p.encoded && nrows > maxEncodedRows {
 		return nil, fmt.Errorf("colcodec: encoded row count %d exceeds limit", nrows)
 	}
 	if int(ncols) != s.Len() {
@@ -361,24 +445,25 @@ func Decode(s relation.Schema, data []byte) ([]relation.Row, error) {
 	if ncols == 0 && nrows > maxZeroColRows {
 		return nil, fmt.Errorf("colcodec: %d rows claimed with no columns", nrows)
 	}
+	p.n, p.ncols = int(nrows), int(ncols)
 	if flags&flagCompressed != 0 {
 		// Decompress under a hard output cap so a tiny adversarial
 		// payload cannot inflate into gigabytes before any column-level
 		// bounds check runs.
 		limit := int64(len(data))*flateMaxRatio + 4096
-		fr := flate.NewReader(bytes.NewReader(rd.rest()))
-		body, err := io.ReadAll(io.LimitReader(fr, limit))
+		p.z = getInflater()
+		body, err := p.z.inflate(p.rd.rest(), limit)
 		if err != nil {
+			p.release()
 			return nil, fmt.Errorf("colcodec: decompress: %w", err)
 		}
-		_ = fr.Close()
 		if int64(len(body)) >= limit {
+			p.release()
 			return nil, fmt.Errorf("colcodec: decompressed body exceeds %dx input", flateMaxRatio)
 		}
-		rd = &reader{buf: body}
+		p.rd = reader{buf: body}
 	}
 
-	n := int(nrows)
 	// Plausibility gate before the big allocation: every well-formed raw
 	// column costs at least one tag byte plus either a null bitmap or a
 	// denser payload, so a body shorter than ncols*(1+ceil(n/8)) bytes
@@ -386,35 +471,47 @@ func Decode(s relation.Schema, data []byte) ([]relation.Row, error) {
 	// encoded column can legitimately be a handful of bytes (one RLE run
 	// covers any row count), so those payloads only owe two bytes per
 	// column here and lean on the maxEncodedRows cap above instead.
-	if n > 0 {
+	if n := p.n; n > 0 {
 		minBody := int64(ncols) * int64(1+(n+7)/8)
-		if encoded {
+		if p.encoded {
 			minBody = int64(ncols) * 2
 		}
-		if int64(len(rd.rest())) < minBody {
-			return nil, fmt.Errorf("colcodec: body has %d bytes, %d rows need at least %d", len(rd.rest()), n, minBody)
+		if int64(len(p.rd.rest())) < minBody {
+			p.release()
+			return nil, fmt.Errorf("colcodec: body has %d bytes, %d rows need at least %d", len(p.rd.rest()), n, minBody)
 		}
 	}
-	rows := make([]relation.Row, n)
-	cells := make([]relation.Value, n*int(ncols)) // one backing array
-	for i := range rows {
-		rows[i] = cells[i*int(ncols) : (i+1)*int(ncols) : (i+1)*int(ncols)]
-	}
-	for ci := 0; ci < int(ncols); ci++ {
+	return p, nil
+}
+
+// decodeColumns decodes every column into rows[i][off+ci] and rejects
+// trailing body bytes.
+func (p *payload) decodeColumns(rows []relation.Row, off int) error {
+	for ci := 0; ci < p.ncols; ci++ {
 		var err error
-		if encoded {
-			err = decodeColumnSelect(rd, rows, ci, n)
+		if p.encoded {
+			err = decodeColumnSelect(&p.rd, rows, off+ci, p.n)
 		} else {
-			err = decodeColumn(rd, rows, ci, n)
+			err = decodeColumn(&p.rd, rows, off+ci, p.n)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("colcodec: column %d: %w", ci, err)
+			return fmt.Errorf("colcodec: column %d: %w", ci, err)
 		}
 	}
-	if len(rd.rest()) != 0 {
-		return nil, fmt.Errorf("colcodec: %d trailing bytes", len(rd.rest()))
+	if len(p.rd.rest()) != 0 {
+		return fmt.Errorf("colcodec: %d trailing bytes", len(p.rd.rest()))
 	}
-	return rows, nil
+	return nil
+}
+
+// release returns the pooled inflate state. The body must not be read
+// afterwards; decoded cells never alias it.
+func (p *payload) release() {
+	if p.z != nil {
+		putInflater(p.z)
+		p.z = nil
+		p.rd = reader{}
+	}
 }
 
 func decodeColumn(rd *reader, rows []relation.Row, ci, n int) error {

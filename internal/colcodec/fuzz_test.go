@@ -102,7 +102,9 @@ func TestFuzzCorpusCheckedIn(t *testing.T) {
 }
 
 // FuzzDecode feeds arbitrary bytes straight into Decode: it must return
-// an error or valid rows, never panic or over-allocate.
+// an error or valid rows, never panic or over-allocate. Every payload
+// Decode accepts must decode identically through DecodeInto, at offset
+// 0 and inside wider rows.
 func FuzzDecode(f *testing.F) {
 	s := kitchenSinkSchema()
 	good, err := Encode(s, kitchenSinkRows(), Options{})
@@ -147,6 +149,7 @@ func FuzzDecode(f *testing.F) {
 						t.Fatalf("decoded row has %d cells, schema has %d", len(r), sch.Len())
 					}
 				}
+				decodeIntoAgrees(t, sch, data, rows)
 			}
 		}
 	})

@@ -485,9 +485,11 @@ func (g *Segment) Close() error {
 // sliceAt returns the chunk bytes [off, off+size): a zero-copy window
 // into the mapping when the segment is mmapped, a pread copy otherwise.
 // The footer parser already proved the range lies inside the data
-// region. Handing the mapping out directly is safe because
-// colcodec.Decode never retains its input — strings and byte cells are
-// copied out during decode.
+// region. Handing the mapping out directly is safe because colcodec's
+// decoders never retain their input: strings and byte cells are copied
+// out during decode, both from the chunk itself and from the pooled
+// buffer a compressed chunk inflates into, so no decoded Value outlives
+// the mapping's Close or the buffer's reuse by the next decode.
 func (g *Segment) sliceAt(off, size int64) ([]byte, error) {
 	if g.mm != nil && off >= 0 && size >= 0 && off+size <= int64(len(g.mm)) {
 		return g.mm[off : off+size : off+size], nil
@@ -531,13 +533,13 @@ func (g *Segment) ReadColumns(cols []string) (relation.Schema, []relation.Row, e
 			metas = append(metas, c)
 		}
 	}
-	n := g.foot.rows
+	n, w := g.foot.rows, len(metas)
 	rows := make([]relation.Row, n)
-	cells := make([]relation.Value, n*len(metas))
+	cells := make([]relation.Value, n*w)
 	for i := range rows {
-		rows[i] = cells[i*len(metas) : (i+1)*len(metas) : (i+1)*len(metas)]
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
 	}
-	outCols := make([]relation.Column, len(metas))
+	outCols := make([]relation.Column, w)
 	var decoded int64
 	for mi, c := range metas {
 		outCols[mi] = relation.Column{Name: c.name, Kind: c.kind}
@@ -546,17 +548,10 @@ func (g *Segment) ReadColumns(cols []string) (relation.Schema, []relation.Row, e
 			return relation.Schema{}, nil, fmt.Errorf("segstore: %s: column %q chunk: %w", g.path, c.name, err)
 		}
 		decoded += c.size
-		one := relation.NewSchema(outCols[mi])
-		colRows, err := colcodec.Decode(one, chunk)
-		if err != nil {
+		// Each chunk decodes straight into its column of the shared rows;
+		// DecodeInto rejects a chunk whose row count is not the footer's.
+		if err := colcodec.DecodeInto(relation.NewSchema(outCols[mi]), chunk, rows, mi); err != nil {
 			return relation.Schema{}, nil, fmt.Errorf("segstore: %s: column %q: %w", g.path, c.name, err)
-		}
-		if len(colRows) != n {
-			return relation.Schema{}, nil, fmt.Errorf("segstore: %s: column %q has %d rows, footer says %d",
-				g.path, c.name, len(colRows), n)
-		}
-		for ri, cr := range colRows {
-			rows[ri][mi] = cr[0]
 		}
 	}
 	mSegmentsScanned.Inc()
@@ -591,15 +586,13 @@ func encodeSegment(s relation.Schema, rows []relation.Row, opts colcodec.Options
 	img := &segmentImage{header: append(append([]byte{}, headerMagic[:]...), formatVersion)}
 	foot := &footer{rows: len(rows), cols: make([]colMeta, s.Len())}
 	off := int64(headerLen)
-	colRows := make([]relation.Row, len(rows))
-	for ci, col := range s.Cols {
-		for ri, r := range rows {
-			if len(r) != s.Len() {
-				return nil, fmt.Errorf("segstore: row %d has %d cells, schema has %d", ri, len(r), s.Len())
-			}
-			colRows[ri] = relation.Row{r[ci]}
+	for ri, r := range rows {
+		if len(r) != s.Len() {
+			return nil, fmt.Errorf("segstore: row %d has %d cells, schema has %d", ri, len(r), s.Len())
 		}
-		chunk, err := colcodec.Encode(relation.NewSchema(col), colRows, opts)
+	}
+	for ci, col := range s.Cols {
+		chunk, err := colcodec.EncodeColumn(rows, ci, opts)
 		if err != nil {
 			return nil, fmt.Errorf("segstore: column %q: %w", col.Name, err)
 		}

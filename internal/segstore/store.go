@@ -16,10 +16,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ivnt/internal/colcodec"
 	"ivnt/internal/engine"
@@ -554,7 +556,11 @@ func (st *Store) loadFooter(path string) (*footer, error) {
 
 // Scan implements engine.ScanSource: one partition per committed
 // segment, pruned segments as empty partitions (partition indexes stay
-// stable either way), columns restricted to pd.Cols when non-nil.
+// stable either way), columns restricted to pd.Cols when non-nil. The
+// live segments decode in parallel on a GOMAXPROCS-sized worker pool
+// (the engine.Local default), each straight into its own partition; the
+// result and the error reported are those of a serial scan in manifest
+// order.
 func (st *Store) Scan(ctx context.Context, pd engine.Pushdown) (*relation.Relation, error) {
 	refs, err := st.Segments(pd)
 	if err != nil {
@@ -568,23 +574,77 @@ func (st *Store) Scan(ctx context.Context, pd engine.Pushdown) (*relation.Relati
 		}
 	}
 	parts := make([][]relation.Row, len(refs))
-	for i, ref := range refs {
+	err = forEachOrdered(len(refs), runtime.GOMAXPROCS(0), func(i int) error {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
+		ref := refs[i]
 		if ref.Pruned {
-			continue
+			return nil
 		}
 		s, rows, err := ReadSegmentRows(ref.Path, ref.Cols)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !s.Equal(scanSchema) {
-			return nil, fmt.Errorf("segstore: %s decodes to schema %s, store schema is %s", ref.Path, s, scanSchema)
+			return fmt.Errorf("segstore: %s decodes to schema %s, store schema is %s", ref.Path, s, scanSchema)
 		}
 		parts[i] = rows
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &relation.Relation{Schema: scanSchema, Partitions: parts}, nil
+}
+
+// forEachOrdered runs fn(0..n-1) on up to workers goroutines, handing
+// indexes out in ascending order, and returns the error of the lowest
+// failing index — the error a serial loop stopping at its first failure
+// would return. Once a failure is recorded, no higher index starts;
+// every lower one still runs, so the reported error does not depend on
+// timing.
+func forEachOrdered(n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var lowestFail atomic.Int64
+	lowestFail.Store(int64(n))
+	work := func() {
+		for {
+			i := next.Add(1) - 1
+			if i >= lowestFail.Load() {
+				return
+			}
+			if err := fn(int(i)); err != nil {
+				errs[i] = err
+				for {
+					cur := lowestFail.Load()
+					if i >= cur || lowestFail.CompareAndSwap(cur, i) {
+						break
+					}
+				}
+			}
+		}
+	}
+	if workers > n {
+		workers = n
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SortedSegmentNames is a test helper exposing the committed segment
