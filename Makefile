@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test ./internal/segstore/ -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/segstore/ -run '^$$' -fuzz '^FuzzFooter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mining/assoc/ -run '^$$' -fuzz '^FuzzMine$$' -fuzztime $(FUZZTIME)
 
 # Codec, join-stage and cluster micro-benchmarks, then the wire,
 # pipeline, spill, shuffle, scan and serve experiments, which refresh

@@ -38,7 +38,7 @@ func (a Anomaly) String() string {
 
 // Detect scores every state by summed surprisal of its cell values and
 // returns the topK, most severe first. Unknown cells contribute
-// nothing.
+// nothing. Only the returned anomalies get their State map.
 func Detect(tb *staterep.Table, topK int) []Anomaly {
 	n := tb.NumRows()
 	if n == 0 || topK < 1 {
@@ -70,7 +70,7 @@ func Detect(tb *staterep.Table, topK int) []Anomaly {
 				worst, worstJ = s, j
 			}
 		}
-		a := Anomaly{Row: i, T: tb.Times[i], Score: score, State: tb.Row(i)}
+		a := Anomaly{Row: i, T: tb.Times[i], Score: score}
 		if worstJ >= 0 {
 			a.Culprit = tb.Signals[worstJ]
 			a.CulpritValue = tb.Cells[i][worstJ]
@@ -85,6 +85,9 @@ func Detect(tb *staterep.Table, topK int) []Anomaly {
 	})
 	if topK < len(out) {
 		out = out[:topK]
+	}
+	for i := range out {
+		out[i].State = tb.Row(out[i].Row)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package anomaly
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,6 +76,18 @@ func TestDetectEdgeCases(t *testing.T) {
 	as := Detect(scenario(), 1000)
 	if len(as) != 100 {
 		t.Fatalf("topK beyond rows = %d", len(as))
+	}
+}
+
+func TestDetectStateIsReturnedRow(t *testing.T) {
+	tb := scenario()
+	tb.Cells[7][1] = staterep.Unknown
+	for _, k := range []int{1, 5, 100, 1000} {
+		for _, a := range Detect(tb, k) {
+			if want := tb.Row(a.Row); !reflect.DeepEqual(a.State, want) {
+				t.Fatalf("topK %d, row %d: State = %v, want %v", k, a.Row, a.State, want)
+			}
+		}
 	}
 }
 
