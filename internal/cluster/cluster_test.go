@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"compress/flate"
 	"context"
+	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -267,6 +270,7 @@ func TestClusterRetryOnConnectionDrop(t *testing.T) {
 	}
 	defer evil.Close()
 	var once sync.Once
+	evilGotTask := make(chan struct{})
 	go func() {
 		for {
 			raw, err := evil.Accept()
@@ -284,7 +288,7 @@ func TestClusterRetryOnConnectionDrop(t *testing.T) {
 				if _, _, err := cs.recvTask(c); err != nil {
 					return
 				}
-				once.Do(func() { raw.Close() }) // drop first task
+				once.Do(func() { raw.Close(); close(evilGotTask) }) // drop first task
 				// Subsequent connections: politely run nothing and hang
 				// up too (driver should stop using us).
 				raw.Close()
@@ -292,7 +296,13 @@ func TestClusterRetryOnConnectionDrop(t *testing.T) {
 		}
 	}()
 
-	drv := &Driver{Addrs: []string{addrs[0], evil.Addr().String()}, MaxRetries: 3}
+	// The healthy executor sits behind a gate that holds its
+	// connections until the adversarial one has drawn a task, so the
+	// dropped task is certain to happen rather than depending on which
+	// slot wins the first partitions.
+	healthy := gateProxy(t, ctx, addrs[0], evilGotTask, nil, nil)
+
+	drv := &Driver{Addrs: []string{healthy, evil.Addr().String()}, MaxRetries: 3}
 	got, st, err := drv.RunStage(ctx, traceRel(200, 4), stageOps())
 	if err != nil {
 		t.Fatal(err)
@@ -303,6 +313,79 @@ func TestClusterRetryOnConnectionDrop(t *testing.T) {
 	if st.Retries == 0 {
 		t.Fatal("expected at least one retry to be recorded")
 	}
+}
+
+// gateProxy listens in front of the executor at backend, for tests
+// that must pin which executor draws the first tasks; it returns the
+// proxy's address. A connection is forwarded only once open is closed.
+// Past the driver's hello, the first bytes the driver sends (a stage or
+// task frame) close drew and reach the executor only once release is
+// closed. A nil channel skips its step. The proxy closes when the test
+// ends.
+func gateProxy(t *testing.T, ctx context.Context, backend string, open, release <-chan struct{}, drew chan struct{}) string {
+	t.Helper()
+	var hello bytes.Buffer
+	if err := gob.NewEncoder(&hello).Encode(helloMsg{Magic: magic, Version: protocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var once sync.Once
+	wait := func(ch <-chan struct{}) bool {
+		if ch == nil {
+			return true
+		}
+		select {
+		case <-ch:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer down.Close()
+				if !wait(open) {
+					return
+				}
+				up, err := net.Dial("tcp", backend)
+				if err != nil {
+					return
+				}
+				defer up.Close()
+				go func() {
+					defer up.Close()
+					if _, err := io.CopyN(up, down, int64(hello.Len())); err != nil {
+						return
+					}
+					first := make([]byte, 1)
+					if _, err := io.ReadFull(down, first); err != nil {
+						return
+					}
+					if drew != nil {
+						once.Do(func() { close(drew) })
+					}
+					if !wait(release) {
+						return
+					}
+					if _, err := up.Write(first); err != nil {
+						return
+					}
+					_, _ = io.Copy(up, down)
+				}()
+				_, _ = io.Copy(down, up)
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }
 
 func TestExecutorRejectsBadMagic(t *testing.T) {

@@ -20,8 +20,19 @@ func TestPersistentDriverReusesConnections(t *testing.T) {
 	}
 	defer stop()
 
+	// Each executor must draw a task in the first run, or its pooled
+	// connection (if it dialed at all) never received the stage. The
+	// second executor holds its first task until the first executor
+	// has drawn one, and the first executor is not reachable until the
+	// second has drawn one, so both slots ship the stage.
+	drewA, drewB := make(chan struct{}), make(chan struct{})
+	gated := []string{
+		gateProxy(t, ctx, addrs[0], drewB, nil, drewA),
+		gateProxy(t, ctx, addrs[1], nil, drewA, drewB),
+	}
+
 	rel := traceRel(300, 6)
-	drv := &Driver{Addrs: addrs, SlotsPerExecutor: 1, Persistent: true}
+	drv := &Driver{Addrs: gated, SlotsPerExecutor: 1, Persistent: true}
 	defer drv.Close()
 
 	want, _, err := engine.NewLocal(2).RunStage(ctx, rel, stageOps())

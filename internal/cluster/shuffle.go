@@ -383,6 +383,7 @@ func (ss *shuffleSession) runMaps(ctx context.Context, tasks []int) error {
 		mr.done[pi] = false
 		mr.work <- pi
 	}
+	ss.openAll(ctx)
 
 	var wg sync.WaitGroup
 	for _, addr := range ss.d.Addrs {
@@ -409,6 +410,25 @@ func (ss *shuffleSession) runMaps(ctx context.Context, tasks []int) error {
 		return fmt.Errorf("cluster: %d shuffle map task(s) undeliverable: no executor reachable", pending)
 	}
 	return nil
+}
+
+// openAll opens the shuffle on every executor (over its control
+// connection) before any map task runs. A map task pushes its buckets
+// to every partition owner, so an owner that has not seen the begin
+// frame yet would reject the push as an unknown shuffle; the map slots'
+// own per-connection begin only reaches executors that happen to draw a
+// task first. Best effort: an executor that cannot be reached now is
+// left to the map slots' reconnects and the barrier's recovery rounds.
+func (ss *shuffleSession) openAll(ctx context.Context) {
+	var wg sync.WaitGroup
+	for _, addr := range ss.d.Addrs {
+		wg.Add(1)
+		go func(addr string) {
+			defer wg.Done()
+			_, _ = ss.ctrlConn(ctx, addr)
+		}(addr)
+	}
+	wg.Wait()
 }
 
 // runMapSlot owns one executor connection for the duration of a map
@@ -574,7 +594,12 @@ func (ss *shuffleSession) ctrlConn(ctx context.Context, addr string) (*conn, err
 	if err != nil {
 		return nil, err
 	}
-	if err := ss.ensureBegin(nc, ss.addrIdx(addr)); err != nil {
+	if tt := ss.d.taskTimeout(); tt > 0 {
+		_ = nc.raw.SetDeadline(time.Now().Add(tt))
+	}
+	err = ss.ensureBegin(nc, ss.addrIdx(addr))
+	_ = nc.raw.SetDeadline(time.Time{})
+	if err != nil {
 		nc.close()
 		ss.harvest(nc)
 		return nil, err

@@ -137,6 +137,37 @@ func TestClusterShuffleMaterializeMatchesPartitionByKey(t *testing.T) {
 	}
 }
 
+// TestClusterShuffleOpensOnEveryExecutor: a single map task pushes to
+// both partition owners, but only one executor draws it. The other
+// owner must already hold the shuffle, so no push is rejected as an
+// unknown shuffle and the map task never needs a retry.
+func TestClusterShuffleOpensOnEveryExecutor(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	addrs, stop, err := StartLocalCluster(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	rel := keyedRel(200, 1)
+	want, err := rel.PartitionByKey(2, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv := &Driver{Addrs: addrs, ReconnectBase: 10 * time.Millisecond}
+	for i := 0; i < 5; i++ {
+		got, st, err := drv.ShuffleMaterialize(ctx, rel, nil, []string{"k"}, 2)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		mustSamePartitioned(t, fmt.Sprintf("run %d", i), want, got)
+		if st.Retries != 0 {
+			t.Fatalf("run %d: map task retried %d time(s), stats = %+v", i, st.Retries, st)
+		}
+	}
+}
+
 // TestClusterShuffleJoinMatchesBroadcast: the shuffle-hash join plan
 // over TCP equals the in-process shuffle join bitwise per partition,
 // and the broadcast plan as a row multiset — with null join keys on
