@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-metrics check bench bench-smoke profile difftest difftest-spill difftest-shuffle difftest-scan difftest-query difftest-compact fuzz-smoke e2ebench e2ebench-test
+.PHONY: all build test race vet vet-metrics check bench bench-smoke profile difftest fuzz-smoke e2ebench e2ebench-test
 
 all: check
 
@@ -28,64 +28,48 @@ vet-metrics:
 # vets, tests and race-tests clean (see docs/TESTING.md).
 check: build vet vet-metrics test race
 
-# Differential correctness run: DIFFTEST_N seeded workloads, each
-# executed on the oracle, the local executor and a real TCP cluster,
-# plus the five metamorphic invariants (partition count, row order,
-# compression, kill+restart, speculation). Reproduce a reported seed
-# with: go test ./internal/difftest/ -run Differential -difftest.seed=<seed> -v
+# Differential correctness runs, one entry point for every family:
+#   make difftest FAMILY=<core|spill|shuffle|scan|query|compact> DIFFTEST_N=<n>
+# Each family runs DIFFTEST_N seeded workloads against its invariants
+# (docs/TESTING.md):
+#   core     the oracle, the local executor and a real TCP cluster agree,
+#            plus the five metamorphic invariants (partition count, row
+#            order, compression, kill+restart, speculation)
+#   spill    core under a memory budget small enough that every sort and
+#            aggregation spills, row and vectorized (docs/MEMORY.md)
+#   shuffle  shuffle materialization / join / aggregation bitwise against
+#            PartitionByKey and the broadcast funnel, in-process and over
+#            TCP (docs/SHUFFLE.md)
+#   scan     pushdown scans of sealed segment stores bitwise against the
+#            full scan, the oracle and a TCP cluster (docs/STORAGE.md)
+#   query    parsed statements compile to the hand-built plan and match
+#            the oracle bitwise (docs/QUERY.md)
+#   compact  raw, dict/RLE-encoded and compacted stores scan bitwise-equal
+#            (docs/STORAGE.md)
+# Every family but core is race-checked. Reproduce a reported seed with
+#   go test ./internal/difftest/ -run <pattern> -difftest.seed=<seed> -v
+# (plus -difftest.shuffle / .scan / .query / .encoding for those
+# families). Extra go test flags ride in GOFLAGS, e.g.
+# GOFLAGS=-count=5 GOMAXPROCS=2 make difftest FAMILY=shuffle.
+FAMILY ?= core
 DIFFTEST_N ?= 25
-difftest:
-	$(GO) test ./internal/difftest/ -run Differential -v -difftest.n=$(DIFFTEST_N)
-
-# Differential run under a memory budget small enough that every sort
-# and aggregation takes the external (spill-to-disk) path, on both the
-# row and vectorized engines — results must stay bitwise identical to
-# the ungoverned oracle (see docs/MEMORY.md).
 SPILL_BUDGET ?= 4096
-difftest-spill:
-	$(GO) test -race ./internal/difftest/ -run 'DifferentialSpill|Differential$$' -v -difftest.n=$(DIFFTEST_N) -difftest.membudget=$(SPILL_BUDGET)
-
-# Shuffle-exchange differential run, race-checked: every seeded
-# workload's shuffle materialization / join / aggregation plan is
-# compared bitwise against PartitionByKey and the broadcast funnel,
-# in-process and over a real TCP cluster (see docs/SHUFFLE.md).
-# Reproduce a reported seed with:
-#   go test ./internal/difftest/ -run ShuffleDifferential -difftest.shuffle -difftest.seed=<seed> -v
-difftest-shuffle:
-	$(GO) test -race ./internal/difftest/ -run ShuffleDifferential -v -difftest.n=$(DIFFTEST_N)
-
-# Segment-scan differential run, race-checked: every seeded workload is
-# sealed into a persistent segment store and the pushdown scan (zone-map
-# pruning + column projection) is held bitwise-equal to the full scan
-# run through the engine's own Filter, the oracle, and a real TCP
-# cluster reading segment files itself (see docs/STORAGE.md).
-# Reproduce a reported seed with:
-#   go test ./internal/difftest/ -run ScanDifferential -difftest.scan -difftest.seed=<seed> -v
-difftest-scan:
-	$(GO) test -race ./internal/difftest/ -run ScanDifferential -v -difftest.n=$(DIFFTEST_N)
-
-# Query-frontend differential run, race-checked: every seeded workload
-# gets a generated SELECT statement whose compiled plan must be the
-# very op tree a caller would hand-build (same OpDesc data, same stage
-# fingerprint) and whose execution over sealed segments stays
-# bitwise-equal to the oracle and the hand-built pipeline, plus an
-# aggregate statement held row-for-row equal to the hand-built
-# distributed plan (see docs/QUERY.md).
-# Reproduce a reported seed with:
-#   go test ./internal/difftest/ -run QueryDifferential -difftest.query -difftest.seed=<seed> -v
-difftest-query:
-	$(GO) test -race ./internal/difftest/ -run QueryDifferential -v -difftest.n=$(DIFFTEST_N)
-
-# Encoding/compaction differential run, race-checked: every seeded
-# workload is sealed raw, dict/RLE-encoded and encoded-then-compacted;
-# all three stores must scan bitwise-equal (raw == encoded per
-# partition, raw == compacted concatenated) and each pushdown scan must
-# match its oracle, in-process and over a real TCP cluster reading
-# encoded segment files (see docs/STORAGE.md).
-# Reproduce a reported seed with:
-#   go test ./internal/difftest/ -run CompactDifferential -difftest.encoding -difftest.seed=<seed> -v
-difftest-compact:
-	$(GO) test -race ./internal/difftest/ -run CompactDifferential -v -difftest.n=$(DIFFTEST_N)
+DIFFTEST_RUN_core := Differential
+DIFFTEST_RUN_spill := 'DifferentialSpill|Differential$$'
+DIFFTEST_RUN_shuffle := ShuffleDifferential
+DIFFTEST_RUN_scan := ScanDifferential
+DIFFTEST_RUN_query := QueryDifferential
+DIFFTEST_RUN_compact := CompactDifferential
+DIFFTEST_RACE_core :=
+DIFFTEST_RACE_spill := -race
+DIFFTEST_RACE_shuffle := -race
+DIFFTEST_RACE_scan := -race
+DIFFTEST_RACE_query := -race
+DIFFTEST_RACE_compact := -race
+DIFFTEST_FLAGS_spill := -difftest.membudget=$(SPILL_BUDGET)
+difftest:
+	$(if $(DIFFTEST_RUN_$(FAMILY)),,$(error unknown FAMILY=$(FAMILY); want one of core spill shuffle scan query compact))
+	$(GO) test $(DIFFTEST_RACE_$(FAMILY)) ./internal/difftest/ -run $(DIFFTEST_RUN_$(FAMILY)) -v -difftest.n=$(DIFFTEST_N) $(DIFFTEST_FLAGS_$(FAMILY))
 
 # Short fuzz pass over every fuzz target, seeded from the checked-in
 # corpora under */testdata/fuzz/.

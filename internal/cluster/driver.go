@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,6 +170,10 @@ func (d *Driver) stashConn(addr string, c *conn) bool {
 	if d.pool == nil {
 		d.pool = map[string][]*conn{}
 	}
+	// A pooled connection forgets the shuffles it opened, so its
+	// sentShuffles cannot grow by one entry per shuffle over the pool's
+	// lifetime; a later map round on it re-sends the (idempotent) begin.
+	clear(c.sentShuffles)
 	d.pool[addr] = append(d.pool[addr], c)
 	return true
 }
@@ -337,337 +340,52 @@ func (d *Driver) backoff(fails int) time.Duration {
 // scan source can name them (engine.ScanStage wires the two up).
 var _ engine.SegmentExecutor = (*Driver)(nil)
 
-// inflightInfo tracks the live dispatches of one task: how many copies
-// are out (original + speculative) and when the oldest was launched.
-type inflightInfo struct {
-	n     int
-	start time.Time
-}
-
-// stageRun is the shared scheduling state of one RunStage call. Tasks
-// are partition indexes flowing through work; pending counts tasks not
-// yet completed. Slots survive transport failures by reconnecting; the
-// stage fails only when a task exhausts its retry budget, the context
-// is cancelled, or every slot has retired with work outstanding.
+// stageRun is one RunStage or RunSegmentStage call: its task queue plus
+// what only stages carry.
 type stageRun struct {
-	rel      *relation.Relation
-	outParts [][]relation.Row
-
-	// segs, when non-nil, marks a segment-scheduled stage
-	// (RunSegmentStage): task pi reads segs[pi] on the executor instead
-	// of receiving rel.Partitions[pi] over the wire. rel is then a
-	// placeholder carrying only the scan schema; pruned refs are
-	// committed driver-side before any slot starts, using prunedPipe —
-	// the stage compiled from the ORIGINAL ops (opsWire has broadcast
-	// rows stripped and is only compilable on an executor).
-	segs       []engine.SegmentRef
-	prunedPipe *engine.StagePipeline
-
-	// v3 stage shipment, prepared once per RunStage: the stage's
-	// content fingerprint, the pipeline with broadcast rows stripped
-	// (replaced by table-hash references), the columnar-encoded
-	// broadcast tables, and the output schema results decode against.
-	fp        uint64
-	opsWire   []engine.OpDesc
-	tables    []tableMsg
-	outSchema relation.Schema
-	compress  bool
-	level     int
-
-	mu        sync.Mutex
-	work      chan int
-	closed    bool
-	pending   int
-	done      []bool
-	attempts  []int
-	epoch     []int
-	specs     []int
-	panics    []int
-	inflight  map[int]inflightInfo
-	durations []time.Duration
-	// encParts caches each partition's columnar encoding so retries and
-	// speculative copies reuse the bytes instead of re-encoding.
-	encParts [][]byte
-
-	// stats is the single accumulation point for this stage's counters:
-	// slots and the speculation monitor write through its atomics, the
-	// final engine.Stats is its snapshot, and Driver.LiveStats snapshots
-	// it mid-flight. No counter lives behind sr.mu.
+	q     *taskQueue
 	stats *engine.StatsCollector
 
-	// stageSpan/spans carry the stage's trace; nil when tracing is off
-	// (all span operations on nil are no-ops). tasks mirrors scheduling
-	// state for /tasks; nil-safe the same way.
-	stageSpan *telemetry.Span
-	spans     []*telemetry.Span
-	tasks     *telemetry.TaskTable
+	// ship is the v3 stage shipment, prepared once per stage; outSchema
+	// is what results decode against.
+	ship      shipment
+	outSchema relation.Schema
+	outParts  [][]relation.Row
 
-	firstErr error
-	cancel   context.CancelFunc
+	// in encodes the input relation's partitions (RunStage). segs, when
+	// non-nil, marks a segment-scheduled stage (RunSegmentStage)
+	// instead: task pi reads segs[pi] on the executor. Pruned refs are
+	// committed driver-side before any slot starts, using prunedPipe —
+	// the stage compiled from the ORIGINAL ops (ship.ops has broadcast
+	// rows stripped and is only compilable on an executor).
+	in         *partEncoder
+	segs       []engine.SegmentRef
+	prunedPipe *engine.StagePipeline
 }
 
-// spanFor returns the trace span of task pi, or nil when tracing is
-// off.
-func (sr *stageRun) spanFor(pi int) *telemetry.Span {
-	if sr.spans == nil {
-		return nil
+// newStageRun validates the plan on the driver and prepares the stage
+// shipment once: fingerprint the stage, strip broadcast tables out of
+// the pipeline (they ship separately, keyed by content hash, at most
+// once per connection), and columnar-encode each distinct table a
+// single time for the whole stage.
+func (d *Driver) newStageRun(schema relation.Schema, ops []engine.OpDesc, nParts int) (*stageRun, error) {
+	if len(d.Addrs) == 0 {
+		return nil, fmt.Errorf("cluster: driver has no executor addresses")
 	}
-	return sr.spans[pi]
-}
-
-// closeWorkLocked closes the work channel exactly once; callers hold
-// sr.mu.
-func (sr *stageRun) closeWorkLocked() {
-	if !sr.closed {
-		sr.closed = true
-		close(sr.work)
-	}
-}
-
-func (sr *stageRun) finished() bool {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return sr.closed
-}
-
-func (sr *stageRun) fail(err error) {
-	sr.mu.Lock()
-	if sr.firstErr == nil {
-		sr.firstErr = err
-	}
-	sr.closeWorkLocked()
-	sr.mu.Unlock()
-	sr.cancel()
-}
-
-func (sr *stageRun) noteReconnect(addr string) {
-	sr.stats.Reconnects.Add(1)
-	mReconnects.With(addr).Inc()
-	sr.stageSpan.Event("reconnect", telemetry.A("addr", addr))
-}
-
-func (sr *stageRun) noteDeadline(pi int) {
-	sr.stats.DeadlineHits.Add(1)
-	mDeadlineHits.Inc()
-	sr.spanFor(pi).Event("deadline_hit")
-}
-
-func (sr *stageRun) noteStageShipped() {
-	sr.stats.StagesShipped.Add(1)
-	mStagesShipped.Inc()
-}
-
-// notePanic counts a contained executor panic against task pi and
-// returns the new total; the slot quarantines the task once it reaches
-// the driver's panic retry limit.
-func (sr *stageRun) notePanic(pi int) int {
-	sr.mu.Lock()
-	sr.panics[pi]++
-	n := sr.panics[pi]
-	sr.mu.Unlock()
-	mTaskPanics.Inc()
-	sr.spanFor(pi).Event("task_panic", telemetry.A("count", n))
-	return n
-}
-
-// noteAdmissionDeferral records one pressure-induced dispatch pause.
-func (sr *stageRun) noteAdmissionDeferral(addr string) {
-	sr.stats.AdmissionDeferrals.Add(1)
-	mAdmissionDeferrals.Inc()
-	sr.stageSpan.Event("admission_deferral", telemetry.A("addr", addr))
-}
-
-func (sr *stageRun) noteDecode(d time.Duration) {
-	sr.stats.DecodeNs.Add(int64(d))
-}
-
-// harvestBytes folds a connection's byte counters into the stage
-// totals; called exactly once per connection, when it is closed.
-func (sr *stageRun) harvestBytes(c *conn) {
-	w, r := c.takeCounts()
-	sr.stats.BytesSent.Add(w)
-	sr.stats.BytesRecv.Add(r)
-	mBytesSent.Add(w)
-	mBytesRecv.Add(r)
-}
-
-// encodedPartition returns (caching) the columnar encoding of partition
-// pi. Re-dispatches of a task (retries, speculation) reuse the bytes.
-func (sr *stageRun) encodedPartition(pi int) ([]byte, error) {
-	sr.mu.Lock()
-	if b := sr.encParts[pi]; b != nil {
-		sr.mu.Unlock()
-		return b, nil
-	}
-	sr.mu.Unlock()
-	start := time.Now()
-	b, err := colcodec.Encode(sr.rel.Schema, sr.rel.Partitions[pi], colcodec.Options{Compress: sr.compress, Level: sr.level})
+	outSchema, err := engine.OutputSchema(schema, ops)
 	if err != nil {
 		return nil, err
 	}
-	sr.stats.EncodeNs.Add(int64(time.Since(start)))
-	sr.mu.Lock()
-	if sr.encParts[pi] == nil {
-		sr.encParts[pi] = b
-	} else {
-		b = sr.encParts[pi] // lost a benign double-encode race
+	ship, err := d.stageWire(schema, ops)
+	if err != nil {
+		return nil, err
 	}
-	sr.mu.Unlock()
-	return b, nil
-}
-
-// dispatch registers one launch of task pi and returns its epoch. A
-// task that already completed (e.g. a stale speculative queue entry)
-// is not dispatched again.
-func (sr *stageRun) dispatch(pi int) (epoch int, ok bool) {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if sr.closed || sr.done[pi] {
-		return 0, false
-	}
-	sr.epoch[pi]++
-	fl := sr.inflight[pi]
-	if fl.n == 0 {
-		fl.start = time.Now()
-	}
-	fl.n++
-	sr.inflight[pi] = fl
-	mInflight.Add(1)
-	return sr.epoch[pi], true
-}
-
-// commit records a completed task. The first result for a partition
-// wins; duplicates from speculative copies are discarded.
-func (sr *stageRun) commit(pi int, rows []relation.Row) {
-	sr.mu.Lock()
-	started := sr.dropInflightLocked(pi)
-	if sr.done[pi] || sr.closed {
-		sr.mu.Unlock()
-		return
-	}
-	sr.done[pi] = true
-	sr.outParts[pi] = rows
-	if !started.IsZero() {
-		sr.durations = append(sr.durations, time.Since(started))
-	}
-	sr.pending--
-	finished := sr.pending == 0
-	if finished {
-		sr.closeWorkLocked()
-	}
-	sr.mu.Unlock()
-	if !started.IsZero() {
-		engine.ObserveTask("cluster", time.Since(started))
-	}
-	sp := sr.spanFor(pi)
-	sp.Event("merged")
-	sp.End()
-	sr.tasks.Done(pi)
-	if finished {
-		// Unblock slots whose connections are mid-read (e.g. a stalled
-		// executor that lost the speculation race).
-		sr.cancel()
-	}
-}
-
-func (sr *stageRun) dropInflightLocked(pi int) time.Time {
-	fl, ok := sr.inflight[pi]
-	if !ok {
-		return time.Time{}
-	}
-	start := fl.start
-	fl.n--
-	if fl.n <= 0 {
-		delete(sr.inflight, pi)
-	} else {
-		sr.inflight[pi] = fl
-	}
-	mInflight.Add(-1)
-	return start
-}
-
-// abandon records a transport failure of one launch of task pi and
-// requeues the task unless another copy is still in flight or the
-// retry budget is exhausted (which fails the stage).
-func (sr *stageRun) abandon(pi, maxRetries int, cause error, addr string) {
-	sr.mu.Lock()
-	sr.dropInflightLocked(pi)
-	if sr.done[pi] || sr.closed {
-		sr.mu.Unlock()
-		return
-	}
-	sr.attempts[pi]++
-	sr.stats.Retries.Add(1)
-	attempts := sr.attempts[pi]
-	tooMany := attempts > maxRetries
-	if !tooMany {
-		if fl, live := sr.inflight[pi]; !live || fl.n <= 0 {
-			sr.work <- pi
-		}
-	}
-	sr.mu.Unlock()
-	mRetries.Inc()
-	sr.spanFor(pi).Event("task_retry",
-		telemetry.A("attempt", attempts), telemetry.A("addr", addr), telemetry.A("cause", cause.Error()))
-	sr.tasks.Retrying(pi)
-	if tooMany {
-		sr.fail(fmt.Errorf("cluster: partition %d failed %d times (last on %s): %w", pi, attempts, addr, cause))
-	}
-}
-
-// speculate is the straggler monitor: any task whose oldest in-flight
-// copy has been running longer than factor× the median completed-task
-// duration (floored at min) is re-enqueued, up to maxPer copies.
-func (sr *stageRun) speculate(ctx context.Context, factor float64, min, interval time.Duration, maxPer int) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		sr.mu.Lock()
-		if sr.closed {
-			sr.mu.Unlock()
-			return
-		}
-		med := medianDuration(sr.durations)
-		if med <= 0 {
-			sr.mu.Unlock()
-			continue
-		}
-		thr := time.Duration(factor * float64(med))
-		if thr < min {
-			thr = min
-		}
-		now := time.Now()
-		var launched []int
-		for pi, fl := range sr.inflight {
-			if fl.n == 1 && !sr.done[pi] && sr.specs[pi] < maxPer && now.Sub(fl.start) > thr {
-				sr.specs[pi]++
-				sr.stats.Speculative.Add(1)
-				sr.work <- pi
-				launched = append(launched, pi)
-			}
-		}
-		sr.mu.Unlock()
-		for _, pi := range launched {
-			mSpeculative.Inc()
-			sr.stageSpan.Event("speculation", telemetry.A("task", pi))
-			sr.tasks.Speculative(pi)
-		}
-	}
-}
-
-func medianDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	c := make([]time.Duration, len(ds))
-	copy(c, ds)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	return c[len(c)/2]
+	return &stageRun{
+		stats:     engine.NewStatsCollector(),
+		ship:      ship,
+		outSchema: outSchema,
+		outParts:  make([][]relation.Row, nParts),
+	}, nil
 }
 
 // RunStage implements engine.Executor: each partition becomes one task,
@@ -675,25 +393,11 @@ func medianDuration(ds []time.Duration) time.Duration {
 // partition order so the stage is deterministic.
 func (d *Driver) RunStage(ctx context.Context, rel *relation.Relation, ops []engine.OpDesc) (*relation.Relation, engine.Stats, error) {
 	start := time.Now()
-	if len(d.Addrs) == 0 {
-		return nil, engine.Stats{}, fmt.Errorf("cluster: driver has no executor addresses")
-	}
-	// Validate the plan on the driver before shipping anything.
-	outSchema, err := engine.OutputSchema(rel.Schema, ops)
+	sr, err := d.newStageRun(rel.Schema, ops, len(rel.Partitions))
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-
-	// Prepare the stage shipment once: fingerprint the stage, strip
-	// broadcast tables out of the pipeline (they ship separately, keyed
-	// by content hash, at most once per connection), and columnar-encode
-	// each distinct table a single time for the whole stage.
-	fp, opsWire, tables, err := d.stageWire(rel.Schema, ops)
-	if err != nil {
-		return nil, engine.Stats{}, err
-	}
-
-	sr := d.newStageRun(rel, fp, opsWire, tables, outSchema)
+	sr.in = d.newPartEncoder(rel, sr.stats)
 	return d.drive(ctx, sr, start, rel.NumRows())
 }
 
@@ -709,185 +413,101 @@ func (d *Driver) RunStage(ctx context.Context, rel *relation.Relation, ops []eng
 // empties those segments mid-pipeline).
 func (d *Driver) RunSegmentStage(ctx context.Context, refs []engine.SegmentRef, schema relation.Schema, ops []engine.OpDesc) (*relation.Relation, engine.Stats, error) {
 	start := time.Now()
-	if len(d.Addrs) == 0 {
-		return nil, engine.Stats{}, fmt.Errorf("cluster: driver has no executor addresses")
-	}
-	outSchema, err := engine.OutputSchema(schema, ops)
+	sr, err := d.newStageRun(schema, ops, len(refs))
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-	fp, opsWire, tables, err := d.stageWire(schema, ops)
-	if err != nil {
-		return nil, engine.Stats{}, err
-	}
-	// Placeholder input relation: it carries the scan schema for the
-	// stage shipment; its (empty) partitions are never encoded because
-	// sendTask ships segment paths for this stage.
-	rel := &relation.Relation{Schema: schema, Partitions: make([][]relation.Row, len(refs))}
-	sr := d.newStageRun(rel, fp, opsWire, tables, outSchema)
 	sr.segs = refs
-	for _, ref := range refs {
-		if ref.Pruned {
-			pipe, _, err := engine.CompileStage(schema, ops)
-			if err != nil {
-				return nil, engine.Stats{}, err
-			}
-			sr.prunedPipe = pipe
-			break
-		}
-	}
 	rowsIn := 0
 	for _, ref := range refs {
 		if !ref.Pruned {
 			rowsIn += ref.Rows
+		} else if sr.prunedPipe == nil {
+			if sr.prunedPipe, _, err = engine.CompileStage(schema, ops); err != nil {
+				return nil, engine.Stats{}, err
+			}
 		}
 	}
 	return d.drive(ctx, sr, start, rowsIn)
 }
 
-// newStageRun builds the scheduling state shared by RunStage and
-// RunSegmentStage. The work channel capacity covers every task being
-// requeued up to the retry budget plus every speculative launch, so no
-// send ever blocks.
-func (d *Driver) newStageRun(rel *relation.Relation, fp uint64, opsWire []engine.OpDesc, tables []tableMsg, outSchema relation.Schema) *stageRun {
-	nParts := len(rel.Partitions)
-	return &stageRun{
-		rel:       rel,
-		fp:        fp,
-		opsWire:   opsWire,
-		tables:    tables,
-		outSchema: outSchema,
-		compress:  d.Compress,
-		level:     d.CompressLevel,
-		outParts:  make([][]relation.Row, nParts),
-		work:      make(chan int, nParts*(d.retries()+d.maxSpeculation()+2)),
-		pending:   nParts,
-		done:      make([]bool, nParts),
-		attempts:  make([]int, nParts),
-		epoch:     make([]int, nParts),
-		specs:     make([]int, nParts),
-		panics:    make([]int, nParts),
-		encParts:  make([][]byte, nParts),
-		inflight:  make(map[int]inflightInfo),
-		stats:     engine.NewStatsCollector(),
-		tasks:     d.Tasks,
-	}
-}
-
 // drive runs a prepared stage to completion: spans, pruned-partition
-// pre-commit, work distribution, slot pool, speculation, and the final
-// stats fold. rowsIn is the stage's input row count (the driver cannot
-// derive it for segment stages, whose partitions never materialize
-// here).
+// pre-commit, the task queue with speculation, and the final stats
+// fold. rowsIn is the stage's input row count (the driver cannot derive
+// it for segment stages, whose partitions never materialize here).
 func (d *Driver) drive(ctx context.Context, sr *stageRun, start time.Time, rowsIn int) (*relation.Relation, engine.Stats, error) {
 	nParts := len(sr.outParts)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sr.cancel = cancel
 	d.live.Store(sr.stats)
-	fpHex := fmt.Sprintf("%016x", sr.fp)
+	fpHex := fmt.Sprintf("%016x", sr.ship.fp)
+	var stageSpan *telemetry.Span
+	var spans []*telemetry.Span
 	if d.Tracer.Enabled() {
-		sr.stageSpan = d.Tracer.StartSpan("stage "+fpHex,
+		stageSpan = d.Tracer.StartSpan("stage "+fpHex,
 			telemetry.A("partitions", nParts), telemetry.A("executor", d.Name()))
-		sr.spans = make([]*telemetry.Span, nParts)
-		for pi := range sr.spans {
-			sr.spans[pi] = sr.stageSpan.Child(fmt.Sprintf("task %d", pi), telemetry.A("stage", fpHex))
-			sr.spans[pi].Event("queued")
+		spans = make([]*telemetry.Span, nParts)
+		for pi := range spans {
+			spans[pi] = stageSpan.Child(fmt.Sprintf("task %d", pi), telemetry.A("stage", fpHex))
+			spans[pi].Event("queued")
 		}
 	}
-	defer sr.stageSpan.End()
+	defer stageSpan.End()
 	d.Tasks.BeginStage(fpHex, d.Name(), nParts)
 
 	// Pruned segments complete before any slot dials: their output is
 	// the stage pipeline over an empty partition, computed on the
 	// driver. Each pruned partition gets its own ApplyContained call so
 	// no output rows alias across partitions.
-	live := 0
+	run := make([]int, 0, nParts)
 	for pi := 0; pi < nParts; pi++ {
-		if sr.segs != nil && sr.segs[pi].Pruned {
-			rows, err := sr.prunedPipe.ApplyContained(nil)
-			if err != nil {
-				return nil, engine.Stats{}, err
-			}
-			sr.mu.Lock()
-			sr.done[pi] = true
-			sr.outParts[pi] = rows
-			sr.pending--
-			sr.mu.Unlock()
-			if sp := sr.spanFor(pi); sp != nil {
-				sp.Event("pruned")
-				sp.End()
-			}
-			sr.tasks.Done(pi)
+		if sr.segs == nil || !sr.segs[pi].Pruned {
+			run = append(run, pi)
 			continue
 		}
-		sr.work <- pi
-		live++
-	}
-	if live == 0 {
-		sr.mu.Lock()
-		sr.closeWorkLocked()
-		sr.mu.Unlock()
-	}
-
-	if f := d.speculationFactor(); f > 0 && live > 0 {
-		go sr.speculate(cctx, f, d.speculationMin(), d.speculationInterval(), d.maxSpeculation())
-	}
-
-	var wg sync.WaitGroup
-	for _, addr := range d.Addrs {
-		for s := 0; s < d.slots(); s++ {
-			wg.Add(1)
-			go func(addr string) {
-				defer wg.Done()
-				d.runSlot(cctx, addr, sr)
-			}(addr)
+		rows, err := sr.prunedPipe.ApplyContained(nil)
+		if err != nil {
+			return nil, engine.Stats{}, err
 		}
+		sr.outParts[pi] = rows
+		if spans != nil {
+			spans[pi].Event("pruned")
+			spans[pi].End()
+		}
+		d.Tasks.Done(pi)
 	}
-	wg.Wait()
+	sr.q = d.newTaskQueue("partition", nParts, run, sr.stats)
+	sr.q.stageSpan, sr.q.spans, sr.q.tasks = stageSpan, spans, d.Tasks
+	send := func(c *conn, _ string, pi, epoch int) (bool, error) { return d.sendTask(c, sr, pi, epoch) }
+	if err := d.runQueue(ctx, sr.q, send, true); err != nil {
+		return nil, engine.Stats{}, err
+	}
 
-	sr.mu.Lock()
-	firstErr, pending := sr.firstErr, sr.pending
-	sr.mu.Unlock()
-	st := sr.stats.Snapshot()
-	// A user cancellation must surface as such, not as a transport
-	// failure or an "undeliverable" stage.
-	if ctx.Err() != nil {
-		return nil, engine.Stats{}, ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, engine.Stats{}, firstErr
-	}
-	if pending > 0 {
-		return nil, engine.Stats{}, fmt.Errorf("cluster: %d partition(s) undeliverable: no executor reachable", pending)
-	}
+	sr.stats.Tasks.Store(int64(nParts))
 	out := &relation.Relation{Schema: sr.outSchema, Partitions: sr.outParts}
-	st.RowsIn = rowsIn
-	st.RowsOut = out.NumRows()
-	st.Partitions = nParts
-	st.Wall = time.Since(start)
-	st.Tasks = nParts
-	// Fold the driver-computed fields back so LiveStats sees complete
-	// totals after the stage ends.
-	sr.stats.RowsIn.Store(int64(st.RowsIn))
-	sr.stats.RowsOut.Store(int64(st.RowsOut))
-	sr.stats.Partitions.Store(int64(st.Partitions))
-	sr.stats.WallNs.Store(int64(st.Wall))
-	sr.stats.Tasks.Store(int64(st.Tasks))
+	return out, finishStats(sr.stats, start, rowsIn, out.NumRows(), nParts), nil
+}
+
+// finishStats folds a finished stage's driver-computed totals into its
+// collector, so LiveStats sees them after the stage ends, and returns
+// the snapshot.
+func finishStats(stats *engine.StatsCollector, start time.Time, rowsIn, rowsOut, parts int) engine.Stats {
+	stats.RowsIn.Store(int64(rowsIn))
+	stats.RowsOut.Store(int64(rowsOut))
+	stats.Partitions.Store(int64(parts))
+	stats.WallNs.Store(int64(time.Since(start)))
+	st := stats.Snapshot()
 	engine.ObserveStage("cluster", st)
-	return out, st, nil
+	return st
 }
 
 // stageWire prepares one stage's v3 shipment: the content fingerprint,
 // the pipeline with broadcast-table rows stripped (replaced by
 // content-hash references), and each distinct table columnar-encoded
 // once. Both RunStage and the shuffle map phase ship stages this way.
-func (d *Driver) stageWire(schema relation.Schema, ops []engine.OpDesc) (fp uint64, opsWire []engine.OpDesc, tables []tableMsg, err error) {
-	fp = engine.StageFingerprint(schema, ops)
-	opsWire = make([]engine.OpDesc, len(ops))
+func (d *Driver) stageWire(schema relation.Schema, ops []engine.OpDesc) (shipment, error) {
+	sh := shipment{fp: engine.StageFingerprint(schema, ops), schema: schema, ops: make([]engine.OpDesc, len(ops))}
 	seenTables := map[uint64]bool{}
 	for i, op := range ops {
-		opsWire[i] = op
+		sh.ops[i] = op
 		if op.Kind != engine.OpBroadcastJoin || op.Join == nil {
 			continue
 		}
@@ -895,17 +515,17 @@ func (d *Driver) stageWire(schema relation.Schema, ops []engine.OpDesc) (fp uint
 		j := *op.Join
 		j.Rows = nil
 		j.TableHash = th
-		opsWire[i].Join = &j
+		sh.ops[i].Join = &j
 		if !seenTables[th] {
 			seenTables[th] = true
 			data, err := colcodec.Encode(op.Join.Schema, op.Join.Rows, colcodec.Options{Compress: d.Compress, Level: d.CompressLevel})
 			if err != nil {
-				return 0, nil, nil, fmt.Errorf("cluster: encode broadcast table: %w", err)
+				return shipment{}, fmt.Errorf("cluster: encode broadcast table: %w", err)
 			}
-			tables = append(tables, tableMsg{Hash: th, Schema: op.Join.Schema, Data: data})
+			sh.tables = append(sh.tables, tableMsg{Hash: th, Schema: op.Join.Schema, Data: data})
 		}
 	}
-	return fp, opsWire, tables, nil
+	return sh, nil
 }
 
 // connect dials and handshakes one executor connection.
@@ -921,166 +541,6 @@ func (d *Driver) connect(ctx context.Context, addr string) (*conn, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// runSlot owns one executor connection. Transport failures no longer
-// retire the slot: the in-flight task is requeued and the slot
-// reconnects with capped exponential backoff, so executors that
-// restart mid-stage rejoin. Only SlotFailureLimit consecutive failures
-// retire the slot, bounding the damage of a persistently dead or
-// flaky executor (it must not starve the retry budget of healthy
-// ones).
-func (d *Driver) runSlot(ctx context.Context, addr string, sr *stageRun) {
-	var c *conn
-	var stopWatch func() bool
-	// dropConn hard-closes the connection (transport failures, and
-	// every stage end for non-persistent drivers).
-	dropConn := func() {
-		if c != nil {
-			if stopWatch != nil {
-				stopWatch()
-			}
-			c.close()
-			sr.harvestBytes(c)
-			c = nil
-		}
-	}
-	// releaseConn runs at slot exit: a healthy idle connection goes
-	// back to the persistent pool (watcher stopped in time, or it ran
-	// but skipped the close because the connection was idle); anything
-	// else closes.
-	releaseConn := func() {
-		if c == nil {
-			return
-		}
-		stopped := stopWatch == nil || stopWatch()
-		sr.harvestBytes(c)
-		if (stopped || !c.busy.Load()) && d.stashConn(addr, c) {
-			c = nil
-			return
-		}
-		c.close()
-		c = nil
-	}
-	defer releaseConn()
-
-	fails := 0      // consecutive dial/transport failures
-	dialed := false // ever connected successfully
-	for {
-		if ctx.Err() != nil || sr.finished() {
-			return
-		}
-		if c == nil {
-			if fails == 0 {
-				c = d.checkoutConn(addr)
-			}
-			if c == nil {
-				if fails > 0 {
-					if !sleepCtx(ctx, d.backoff(fails)) {
-						return
-					}
-				}
-				nc, err := d.connect(ctx, addr)
-				if err != nil {
-					fails++
-					if fails >= d.slotFailureLimit() {
-						return
-					}
-					continue
-				}
-				c = nc
-				if dialed || fails > 0 {
-					sr.noteReconnect(addr)
-				}
-				dialed = true
-			}
-			// Close the connection when the stage ends so a slot blocked
-			// in a read (stalled executor, stage already complete) wakes.
-			// A persistent driver's watcher leaves idle connections open:
-			// they are not blocking anything and releaseConn pools them.
-			nc := c
-			stopWatch = context.AfterFunc(ctx, func() {
-				if !d.Persistent || nc.busy.Load() {
-					nc.close()
-				}
-			})
-		}
-		var pi int
-		var ok bool
-		select {
-		case <-ctx.Done():
-			return
-		case pi, ok = <-sr.work:
-			if !ok {
-				return
-			}
-		}
-		ep, ok := sr.dispatch(pi)
-		if !ok {
-			continue
-		}
-		sr.spanFor(pi).Event("shipped", telemetry.A("addr", addr), telemetry.A("epoch", ep))
-		sr.tasks.Running(pi, addr, ep)
-		c.busy.Store(true)
-		if ctx.Err() != nil {
-			// The stage-end watcher may have observed the connection
-			// idle a moment ago and left it open; nobody would unblock
-			// a read started now, so bail out. busy stays set so
-			// releaseConn closes instead of pooling (the watcher may
-			// have closed the connection concurrently).
-			return
-		}
-		pressured, err := d.sendTask(c, sr, pi, ep)
-		c.busy.Store(false)
-		if err == nil {
-			fails = 0
-			if pressured {
-				// Admission control: the executor reported memory
-				// pressure in the result frame, so this slot backs off
-				// before taking more work instead of piling on.
-				sr.noteAdmissionDeferral(addr)
-				if !sleepCtx(ctx, d.admissionPause()) {
-					return
-				}
-			}
-			continue
-		}
-		if tf, isTF := err.(*taskFailure); isTF && tf.taskErr != nil {
-			// The transport round-trip succeeded; the task itself failed.
-			// The connection stays healthy either way.
-			fails = 0
-			switch {
-			case tf.panicked:
-				// A contained executor panic is worth a bounded number
-				// of retries (it may be machine-local), but a task that
-				// panics everywhere is poisoned: quarantine it with a
-				// diagnostic instead of retrying forever.
-				if n := sr.notePanic(pi); n >= d.panicRetryLimit() {
-					sr.fail(fmt.Errorf("cluster: partition %d poisoned: %d contained panic(s), last on %s: %w",
-						pi, n, addr, tf.taskErr))
-					return
-				}
-				sr.abandon(pi, d.retries(), tf.taskErr, addr)
-			case tf.retryable:
-				// Environmental task failure (e.g. disk full during
-				// spill): requeue like a transport failure.
-				sr.abandon(pi, d.retries(), tf.taskErr, addr)
-			default:
-				sr.fail(tf.taskErr)
-				return
-			}
-			continue
-		}
-		if isTimeout(err) {
-			sr.noteDeadline(pi)
-		}
-		sr.abandon(pi, d.retries(), err, addr)
-		dropConn()
-		fails++
-		if fails >= d.slotFailureLimit() {
-			return
-		}
-	}
 }
 
 // sleepCtx sleeps for dur or until ctx is done; it reports whether the
@@ -1134,61 +594,30 @@ func (t *taskFailure) Unwrap() error {
 	return t.ioErr
 }
 
-// sendTask runs one task round trip on c. It returns pressured=true
-// when the executor's result frame reported memory pressure at or
-// above the admission threshold (the slot then defers its next
-// dispatch).
+// sendTask is a stage's round trip: the stage shipment if c lacks it,
+// then the task frame — an encoded partition or a segment path — and
+// its result.
 func (d *Driver) sendTask(c *conn, sr *stageRun, pi, epoch int) (pressured bool, err error) {
-	if tt := d.taskTimeout(); tt > 0 {
-		_ = c.raw.SetDeadline(time.Now().Add(tt))
-		defer func() { _ = c.raw.SetDeadline(time.Time{}) }()
+	if err := sr.ship.ship(c, sr.stats); err != nil {
+		return false, err
 	}
-	// Ship the stage first if this connection has not seen it yet —
-	// once per stage per connection, so a reconnected (restarted)
-	// executor receives it again, and broadcast tables the connection
-	// already holds are not re-sent even across stages.
-	if !c.sentStages[sr.fp] {
-		msg := stageMsg{Fingerprint: sr.fp, Schema: sr.rel.Schema, Ops: sr.opsWire}
-		for _, tbl := range sr.tables {
-			if !c.sentTables[tbl.Hash] {
-				msg.Tables = append(msg.Tables, tbl)
-			}
-		}
-		if err := c.enc.Encode(frameHdr{Kind: frameStage}); err != nil {
-			return false, &taskFailure{ioErr: err}
-		}
-		if err := c.enc.Encode(msg); err != nil {
-			return false, &taskFailure{ioErr: err}
-		}
-		c.sentStages[sr.fp] = true
-		for _, tbl := range msg.Tables {
-			c.sentTables[tbl.Hash] = true
-		}
-		sr.noteStageShipped()
-	}
-	task := taskMsg{ID: uint64(pi), Epoch: uint64(epoch), Stage: sr.fp, Span: sr.spanFor(pi).ID()}
+	task := taskMsg{ID: uint64(pi), Epoch: uint64(epoch), Stage: sr.ship.fp, Span: sr.q.spanFor(pi).ID()}
 	if sr.segs != nil {
 		// Segment-scheduled stage: the executor reads the segment file
 		// itself; nothing to encode or ship.
 		task.SegPath = sr.segs[pi].Path
 		task.SegCols = sr.segs[pi].Cols
 	} else {
-		data, err := sr.encodedPartition(pi)
+		data, err := sr.in.encode(pi)
 		if err != nil {
 			// Encoding is driver-local and deterministic: abort, don't retry.
 			return false, &taskFailure{taskErr: fmt.Errorf("cluster: task %d: encode partition: %w", pi, err)}
 		}
 		task.Data = data
 	}
-	if err := c.enc.Encode(frameHdr{Kind: frameTask}); err != nil {
-		return false, &taskFailure{ioErr: err}
-	}
-	if err := c.enc.Encode(task); err != nil {
-		return false, &taskFailure{ioErr: err}
-	}
 	var res resultMsg
-	if err := c.dec.Decode(&res); err != nil {
-		return false, &taskFailure{ioErr: err}
+	if err := c.exchange(frameTask, task, &res); err != nil {
+		return false, err
 	}
 	// Memory pressure rides on every result frame, success or failure
 	// (gob-additive v3 fields; old executors leave them zero, which
@@ -1214,13 +643,13 @@ func (d *Driver) sendTask(c *conn, sr *stageRun, pi, epoch int) (pressured bool,
 		return pressured, &taskFailure{ioErr: fmt.Errorf("cluster: task %d: decode result: %w", pi, err)}
 	}
 	driverDecode := time.Since(dstart)
-	sr.noteDecode(driverDecode)
+	sr.stats.DecodeNs.Add(int64(driverDecode))
 	// The round trip's I/O is complete: clear busy before the commit so
 	// that, when this is the stage's last task, the stage-end watcher
 	// the commit triggers sees an idle connection and leaves it for the
 	// persistent pool instead of closing it.
 	c.busy.Store(false)
-	if sp := sr.spanFor(pi); sp != nil {
+	if sp := sr.q.spanFor(pi); sp != nil {
 		// The executor's timing breakdown (echoed in the result) places
 		// remote work on the driver's trace without clock agreement.
 		sp.Event("decoded",
@@ -1230,6 +659,6 @@ func (d *Driver) sendTask(c *conn, sr *stageRun, pi, epoch int) (pressured bool,
 			telemetry.A("exec_us", time.Duration(res.ExecNs).Microseconds()),
 			telemetry.A("remote_encode_us", time.Duration(res.EncodeNs).Microseconds()))
 	}
-	sr.commit(pi, rows)
+	sr.q.commit(pi, func() { sr.outParts[pi] = rows })
 	return pressured, nil
 }

@@ -111,3 +111,73 @@ func TestPersistentDriverClose(t *testing.T) {
 		t.Fatalf("pool repopulated after Close: %v", drv.pool)
 	}
 }
+
+// Shuffle map tasks run on the same slots as stage tasks, so a
+// persistent driver's second shuffle draws its map connection from the
+// pool: no reconnect, no stage re-shipment, and a byte count that is a
+// fresh per-shuffle delta no longer paying for the handshake, the stage
+// or gob type descriptors. One executor with one slot keeps the map
+// connection's history deterministic. Freed shuffles leave no
+// sentShuffles entry behind on pooled connections.
+func TestPersistentDriverPoolsShuffleMaps(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addrs, stop, err := StartLocalCluster(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	drv := &Driver{Addrs: addrs, Persistent: true}
+	defer drv.Close()
+	rel := keyedRel(600, 6)
+	ops := []engine.OpDesc{engine.Filter("g != 1")}
+	mapped, _, err := engine.NewLocal(2).RunStage(ctx, rel, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mapped.PartitionByKey(4, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := func() (conns, shuffles int) {
+		drv.poolMu.Lock()
+		defer drv.poolMu.Unlock()
+		for _, l := range drv.pool {
+			for _, c := range l {
+				conns++
+				shuffles += len(c.sentShuffles)
+			}
+		}
+		return conns, shuffles
+	}
+	run := func() engine.Stats {
+		t.Helper()
+		got, st, err := drv.ShuffleMaterialize(ctx, rel, ops, []string{"k"}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustSamePartitioned(t, "persistent shuffle", want, got)
+		conns, shuffles := pooled()
+		if conns == 0 {
+			t.Fatal("no map connections pooled after a clean shuffle")
+		}
+		if shuffles != 0 {
+			t.Fatalf("pooled connections still hold %d freed shuffle(s)", shuffles)
+		}
+		return st
+	}
+
+	st1 := run()
+	st2 := run()
+	if st1.StagesShipped == 0 {
+		t.Fatalf("first shuffle shipped no map stage: %+v", st1)
+	}
+	if st2.StagesShipped != 0 || st2.Reconnects != 0 {
+		t.Fatalf("second shuffle shipped the stage %d time(s) and reconnected %d time(s): map connection not reused",
+			st2.StagesShipped, st2.Reconnects)
+	}
+	if st2.BytesSent <= 0 || st2.BytesSent >= st1.BytesSent {
+		t.Fatalf("second-shuffle bytes %d not a fresh delta of first-shuffle %d", st2.BytesSent, st1.BytesSent)
+	}
+}

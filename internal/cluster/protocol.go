@@ -381,6 +381,23 @@ func newConn(raw net.Conn) *conn {
 
 func (c *conn) close() { _ = c.raw.Close() }
 
+// exchange sends one driver frame (header, then msg) and, when reply is
+// non-nil, decodes the executor's reply into it. Any failure is a
+// transport failure.
+func (c *conn) exchange(kind uint8, msg, reply any) error {
+	err := c.enc.Encode(frameHdr{Kind: kind})
+	if err == nil {
+		err = c.enc.Encode(msg)
+	}
+	if err == nil && reply != nil {
+		err = c.dec.Decode(reply)
+	}
+	if err != nil {
+		return &taskFailure{ioErr: err}
+	}
+	return nil
+}
+
 // handshake runs the driver side of the version exchange.
 func (c *conn) handshake(timeout time.Duration) error {
 	if timeout > 0 {

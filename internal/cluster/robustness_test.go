@@ -79,6 +79,57 @@ func TestPanicQuarantine(t *testing.T) {
 	mustMatchLocal(t, ctx, got, rel, stageOps())
 }
 
+// TestClusterShuffleMapPanicIsPoisoned: shuffle map tasks run on the
+// same slot loop as stage tasks, so a map that panics on every attempt
+// is quarantined as poisoned at PanicRetryLimit, not retried through
+// the whole MaxRetries budget.
+func TestClusterShuffleMapPanicIsPoisoned(t *testing.T) {
+	resetExecDebug(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	addrs, stop, err := StartLocalCluster(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	// One input partition: one map task, and every hook call is one of
+	// its attempts (the map runs PartialAgg through ApplyContained).
+	var runs atomic.Int64
+	engine.SetDebugApplyHook(func() {
+		runs.Add(1)
+		panic("bad map input")
+	})
+	drv := &Driver{
+		Addrs:             addrs,
+		MaxRetries:        8,
+		ReconnectBase:     10 * time.Millisecond,
+		SpeculationFactor: -1,
+	}
+	aggs := []engine.AggSpec{{Fn: engine.AggSum, Col: "v", As: "s"}}
+	before := mTaskPanics.Value()
+	_, _, err = drv.ShuffleAggregate(ctx, keyedRel(200, 1), []string{"k"}, aggs, 2)
+	if err == nil {
+		t.Fatal("a permanently panicking map must fail the shuffle")
+	}
+	if !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("quarantine diagnostic missing, got: %v", err)
+	}
+	if n := runs.Load(); n != int64(drv.panicRetryLimit()) {
+		t.Fatalf("map ran %d time(s), want %d (PanicRetryLimit), not up to MaxRetries+1 = %d",
+			n, drv.panicRetryLimit(), drv.MaxRetries+1)
+	}
+	if d := mTaskPanics.Value() - before; d != int64(drv.panicRetryLimit()) {
+		t.Fatalf("cluster_task_panics_total delta = %d, want %d", d, drv.panicRetryLimit())
+	}
+
+	// The executors survive to run the next shuffle.
+	engine.SetDebugApplyHook(nil)
+	if _, _, err := drv.ShuffleAggregate(ctx, keyedRel(200, 1), []string{"k"}, aggs, 2); err != nil {
+		t.Fatalf("executors unusable after contained map panics: %v", err)
+	}
+}
+
 // TestPanicRetryRecovers: a task panics exactly once; the retried
 // attempt succeeds, so a transient panic costs one requeue, not the
 // stage.

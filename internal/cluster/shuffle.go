@@ -72,8 +72,8 @@ func (d *Driver) shufflePeers() []string {
 }
 
 // shuffleSession is one shuffle stage in flight: configuration, the
-// map input, per-task encodings, and the per-executor control
-// connections the barrier and reduce phases run on.
+// map input and its shipment, and the per-executor control links the
+// begin, barrier and reduce phases run on.
 type shuffleSession struct {
 	d         *Driver
 	id        uint64
@@ -83,25 +83,12 @@ type shuffleSession struct {
 	endpoints []string
 	sources   []uint64 // all map task ids (input partition indexes)
 
-	rel     *relation.Relation
-	fp      uint64 // map stage fingerprint; 0 when the map runs no ops
-	opsWire []engine.OpDesc
-	tables  []tableMsg
-
+	in    *partEncoder
+	ship  shipment // zero when the map runs no ops
 	stats *engine.StatsCollector
 
-	encMu    sync.Mutex
-	encParts [][]byte
-
 	ctrlMu sync.Mutex
-	ctrl   map[string]*conn
-
-	// harvested tracks how much of each connection's byte counters has
-	// already been folded into stats, so harvest can run both before the
-	// stats snapshot (live control conns) and again at free() without
-	// double-counting.
-	hMu       sync.Mutex
-	harvested map[*conn][2]int64
+	ctrl   map[string]*link
 }
 
 // newShuffleSession validates the plan and prepares the map-stage
@@ -133,15 +120,12 @@ func (d *Driver) newShuffleSession(rel *relation.Relation, ops []engine.OpDesc, 
 		keys:      keys,
 		schema:    outSchema,
 		endpoints: d.shufflePeers(),
-		rel:       rel,
+		in:        d.newPartEncoder(rel, stats),
 		stats:     stats,
-		encParts:  make([][]byte, len(rel.Partitions)),
-		ctrl:      map[string]*conn{},
-		harvested: map[*conn][2]int64{},
+		ctrl:      map[string]*link{},
 	}
 	if len(ops) > 0 {
-		ss.fp, ss.opsWire, ss.tables, err = d.stageWire(rel.Schema, ops)
-		if err != nil {
+		if ss.ship, err = d.stageWire(rel.Schema, ops); err != nil {
 			return nil, err
 		}
 	}
@@ -172,23 +156,17 @@ func (ss *shuffleSession) beginMsg() *shuffleBeginMsg {
 	}
 }
 
-// ensureBegin opens the shuffle on one connection if it has not been
-// opened there yet. addrIdx is the executor's slot in the endpoint map.
-func (ss *shuffleSession) ensureBegin(c *conn, addrIdx int) error {
+// ensureBegin opens the shuffle on a connection to addr if it has not
+// been opened there yet.
+func (ss *shuffleSession) ensureBegin(c *conn, addr string) error {
 	if c.sentShuffles[ss.id] {
 		return nil
 	}
 	msg := ss.beginMsg()
-	msg.SelfIdx = addrIdx
-	if err := c.enc.Encode(frameHdr{Kind: frameShuffleBegin}); err != nil {
-		return &taskFailure{ioErr: err}
-	}
-	if err := c.enc.Encode(msg); err != nil {
-		return &taskFailure{ioErr: err}
-	}
+	msg.SelfIdx = ss.addrIdx(addr)
 	var ack shuffleBeginAck
-	if err := c.dec.Decode(&ack); err != nil {
-		return &taskFailure{ioErr: err}
+	if err := c.exchange(frameShuffleBegin, msg, &ack); err != nil {
+		return err
 	}
 	if ack.Err != "" {
 		// A rejected begin is a plan error — deterministic, not worth a
@@ -197,60 +175,6 @@ func (ss *shuffleSession) ensureBegin(c *conn, addrIdx int) error {
 	}
 	c.sentShuffles[ss.id] = true
 	return nil
-}
-
-// encodedPartition caches the columnar encoding of map input pi.
-func (ss *shuffleSession) encodedPartition(pi int) ([]byte, error) {
-	ss.encMu.Lock()
-	if b := ss.encParts[pi]; b != nil {
-		ss.encMu.Unlock()
-		return b, nil
-	}
-	ss.encMu.Unlock()
-	start := time.Now()
-	b, err := colcodec.Encode(ss.rel.Schema, ss.rel.Partitions[pi], colcodec.Options{Compress: ss.d.Compress, Level: ss.d.CompressLevel})
-	if err != nil {
-		return nil, err
-	}
-	ss.stats.EncodeNs.Add(int64(time.Since(start)))
-	ss.encMu.Lock()
-	if ss.encParts[pi] == nil {
-		ss.encParts[pi] = b
-	} else {
-		b = ss.encParts[pi]
-	}
-	ss.encMu.Unlock()
-	return b, nil
-}
-
-// harvest folds one connection's byte counters into the session stats.
-// Delta-based and idempotent: only bytes not yet harvested are added,
-// so finishStats can fold live control connections in before the
-// snapshot and free() can harvest the same conns again afterwards.
-func (ss *shuffleSession) harvest(c *conn) {
-	ss.hMu.Lock()
-	prev := ss.harvested[c]
-	dw, dr := c.count.written-prev[0], c.count.read-prev[1]
-	ss.harvested[c] = [2]int64{c.count.written, c.count.read}
-	ss.hMu.Unlock()
-	ss.stats.BytesSent.Add(dw)
-	ss.stats.BytesRecv.Add(dr)
-	mBytesSent.Add(dw)
-	mBytesRecv.Add(dr)
-}
-
-// harvestCtrl folds the live control connections' counters into stats
-// (they stay open for free()).
-func (ss *shuffleSession) harvestCtrl() {
-	ss.ctrlMu.Lock()
-	conns := make([]*conn, 0, len(ss.ctrl))
-	for _, c := range ss.ctrl {
-		conns = append(conns, c)
-	}
-	ss.ctrlMu.Unlock()
-	for _, c := range conns {
-		ss.harvest(c)
-	}
 }
 
 // addrIdx maps an executor address to its endpoint-map slot.
@@ -263,153 +187,20 @@ func (ss *shuffleSession) addrIdx(addr string) int {
 	return 0
 }
 
-// mapRun is the retrying work queue of one map round. A slimmer
-// stageRun: no speculation, no admission control, no result payloads —
-// map results are counters, the data went to the peers.
-type mapRun struct {
-	ss *shuffleSession
-
-	mu       sync.Mutex
-	work     chan int
-	closed   bool
-	pending  int
-	done     []bool
-	attempts []int
-	epoch    []int
-	firstErr error
-	cancel   context.CancelFunc
-}
-
-func (mr *mapRun) finished() bool {
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	return mr.closed
-}
-
-func (mr *mapRun) closeWorkLocked() {
-	if !mr.closed {
-		mr.closed = true
-		close(mr.work)
-	}
-}
-
-func (mr *mapRun) fail(err error) {
-	mr.mu.Lock()
-	if mr.firstErr == nil {
-		mr.firstErr = err
-	}
-	mr.closeWorkLocked()
-	mr.mu.Unlock()
-	mr.cancel()
-}
-
-// dispatch registers one launch of map task pi and returns its epoch.
-func (mr *mapRun) dispatch(pi int) (int, bool) {
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	if mr.closed || mr.done[pi] {
-		return 0, false
-	}
-	mr.epoch[pi]++
-	return mr.epoch[pi], true
-}
-
-// commit records a completed map task; the first completion wins
-// (pushes deduplicate receiver-side by (partition, source)).
-func (mr *mapRun) commit(pi int, ack *shuffleMapAck) {
-	mr.mu.Lock()
-	if mr.done[pi] || mr.closed {
-		mr.mu.Unlock()
-		return
-	}
-	mr.done[pi] = true
-	mr.pending--
-	finished := mr.pending == 0
-	if finished {
-		mr.closeWorkLocked()
-	}
-	mr.mu.Unlock()
-	mr.ss.stats.Tasks.Add(1)
-	mr.ss.stats.ShuffleBytesPushed.Add(ack.PushedBytes)
-	if finished {
-		mr.cancel()
-	}
-}
-
-// abandon requeues a failed launch, or fails the round when the retry
-// budget is gone.
-func (mr *mapRun) abandon(pi int, cause error, addr string) {
-	mr.mu.Lock()
-	if mr.done[pi] || mr.closed {
-		mr.mu.Unlock()
-		return
-	}
-	mr.attempts[pi]++
-	attempts := mr.attempts[pi]
-	tooMany := attempts > mr.ss.d.retries()
-	if !tooMany {
-		mr.work <- pi
-	}
-	mr.mu.Unlock()
-	mr.ss.stats.Retries.Add(1)
-	mRetries.Inc()
-	if tooMany {
-		mr.fail(fmt.Errorf("cluster: shuffle map %d failed %d times (last on %s): %w", pi, attempts, addr, cause))
-	}
-}
-
-// runMaps dispatches the given map tasks and blocks until all
-// committed or the round failed.
+// runMaps runs one map round over the given map tasks on the shared
+// task-slot core (docs/FAULT_TOLERANCE.md) and blocks until all
+// committed or the round failed. Map rounds are not speculated, and a
+// map ack carries no memory pressure, so admission never defers them.
 func (ss *shuffleSession) runMaps(ctx context.Context, tasks []int) error {
 	if len(tasks) == 0 {
 		return nil
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	n := len(ss.rel.Partitions)
-	mr := &mapRun{
-		ss:       ss,
-		work:     make(chan int, len(tasks)*(ss.d.retries()+2)),
-		pending:  len(tasks),
-		done:     make([]bool, n),
-		attempts: make([]int, n),
-		epoch:    make([]int, n),
-		cancel:   cancel,
-	}
-	for i := range mr.done {
-		mr.done[i] = true
-	}
-	for _, pi := range tasks {
-		mr.done[pi] = false
-		mr.work <- pi
-	}
+	q := ss.d.newTaskQueue("shuffle map", len(ss.sources), tasks, ss.stats)
 	ss.openAll(ctx)
-
-	var wg sync.WaitGroup
-	for _, addr := range ss.d.Addrs {
-		for s := 0; s < ss.d.slots(); s++ {
-			wg.Add(1)
-			go func(addr string) {
-				defer wg.Done()
-				ss.runMapSlot(cctx, addr, mr)
-			}(addr)
-		}
+	send := func(c *conn, addr string, pi, epoch int) (bool, error) {
+		return false, ss.sendMap(c, addr, q, pi, epoch)
 	}
-	wg.Wait()
-
-	mr.mu.Lock()
-	firstErr, pending := mr.firstErr, mr.pending
-	mr.mu.Unlock()
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if pending > 0 {
-		return fmt.Errorf("cluster: %d shuffle map task(s) undeliverable: no executor reachable", pending)
-	}
-	return nil
+	return ss.d.runQueue(ctx, q, send, false)
 }
 
 // openAll opens the shuffle on every executor (over its control
@@ -417,154 +208,53 @@ func (ss *shuffleSession) runMaps(ctx context.Context, tasks []int) error {
 // to every partition owner, so an owner that has not seen the begin
 // frame yet would reject the push as an unknown shuffle; the map slots'
 // own per-connection begin only reaches executors that happen to draw a
-// task first. Best effort: an executor that cannot be reached now is
-// left to the map slots' reconnects and the barrier's recovery rounds.
+// task first. Best effort, one attempt per executor: one that cannot be
+// reached now is left to the map slots' reconnects and the barrier's
+// recovery rounds.
 func (ss *shuffleSession) openAll(ctx context.Context) {
 	var wg sync.WaitGroup
+	seen := map[string]bool{}
 	for _, addr := range ss.d.Addrs {
+		if seen[addr] {
+			continue
+		}
+		seen[addr] = true
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			_, _ = ss.ctrlConn(ctx, addr)
+			l := ss.ctrlLink(addr)
+			if l.acquire(ctx) != nil {
+				return
+			}
+			clearDeadline := ss.d.deadline(l.c)
+			err := ss.ensureBegin(l.c, addr)
+			clearDeadline()
+			if err != nil {
+				l.broken()
+			}
 		}(addr)
 	}
 	wg.Wait()
 }
 
-// runMapSlot owns one executor connection for the duration of a map
-// round, reconnecting with backoff like RunStage's slots.
-func (ss *shuffleSession) runMapSlot(ctx context.Context, addr string, mr *mapRun) {
-	d := ss.d
-	var c *conn
-	var stopWatch func() bool
-	closeConn := func() {
-		if c != nil {
-			if stopWatch != nil {
-				stopWatch()
-			}
-			c.close()
-			ss.harvest(c)
-			c = nil
-		}
-	}
-	defer closeConn()
-
-	fails := 0
-	dialed := false
-	for {
-		if ctx.Err() != nil || mr.finished() {
-			return
-		}
-		if c == nil {
-			if fails > 0 {
-				if !sleepCtx(ctx, d.backoff(fails)) {
-					return
-				}
-			}
-			nc, err := d.connect(ctx, addr)
-			if err != nil {
-				fails++
-				if fails >= d.slotFailureLimit() {
-					return
-				}
-				continue
-			}
-			c = nc
-			stopWatch = context.AfterFunc(ctx, func() { nc.close() })
-			if dialed || fails > 0 {
-				ss.stats.Reconnects.Add(1)
-				mReconnects.With(addr).Inc()
-			}
-			dialed = true
-		}
-		var pi int
-		var ok bool
-		select {
-		case <-ctx.Done():
-			return
-		case pi, ok = <-mr.work:
-			if !ok {
-				return
-			}
-		}
-		ep, ok := mr.dispatch(pi)
-		if !ok {
-			continue
-		}
-		err := ss.sendMap(c, mr, addr, pi, ep)
-		if err == nil {
-			fails = 0
-			continue
-		}
-		if tf, isTF := err.(*taskFailure); isTF && tf.taskErr != nil {
-			fails = 0
-			if tf.retryable || tf.panicked {
-				mr.abandon(pi, tf.taskErr, addr)
-			} else {
-				mr.fail(tf.taskErr)
-				return
-			}
-			continue
-		}
-		if isTimeout(err) {
-			ss.stats.DeadlineHits.Add(1)
-			mDeadlineHits.Inc()
-		}
-		mr.abandon(pi, err, addr)
-		closeConn()
-		fails++
-		if fails >= d.slotFailureLimit() {
-			return
-		}
-	}
-}
-
-// sendMap runs one map-task round trip: begin and stage shipments as
-// needed, then the task frame and its ack.
-func (ss *shuffleSession) sendMap(c *conn, mr *mapRun, addr string, pi, epoch int) error {
-	d := ss.d
-	started := time.Now()
-	if tt := d.taskTimeout(); tt > 0 {
-		_ = c.raw.SetDeadline(time.Now().Add(tt))
-		defer func() { _ = c.raw.SetDeadline(time.Time{}) }()
-	}
-	if err := ss.ensureBegin(c, ss.addrIdx(addr)); err != nil {
+// sendMap is a shuffle map task's round trip: begin and stage
+// shipments as the connection needs them, then the task frame and its
+// ack. Map results are counters; the data went to the peers.
+func (ss *shuffleSession) sendMap(c *conn, addr string, q *taskQueue, pi, epoch int) error {
+	if err := ss.ensureBegin(c, addr); err != nil {
 		return err
 	}
-	if ss.fp != 0 && !c.sentStages[ss.fp] {
-		msg := stageMsg{Fingerprint: ss.fp, Schema: ss.rel.Schema, Ops: ss.opsWire}
-		for _, tbl := range ss.tables {
-			if !c.sentTables[tbl.Hash] {
-				msg.Tables = append(msg.Tables, tbl)
-			}
-		}
-		if err := c.enc.Encode(frameHdr{Kind: frameStage}); err != nil {
-			return &taskFailure{ioErr: err}
-		}
-		if err := c.enc.Encode(msg); err != nil {
-			return &taskFailure{ioErr: err}
-		}
-		c.sentStages[ss.fp] = true
-		for _, tbl := range msg.Tables {
-			c.sentTables[tbl.Hash] = true
-		}
-		ss.stats.StagesShipped.Add(1)
-		mStagesShipped.Inc()
+	if err := ss.ship.ship(c, ss.stats); err != nil {
+		return err
 	}
-	data, err := ss.encodedPartition(pi)
+	data, err := ss.in.encode(pi)
 	if err != nil {
 		return &taskFailure{taskErr: fmt.Errorf("cluster: shuffle map %d: encode partition: %w", pi, err)}
 	}
-	task := shuffleMapMsg{ID: uint64(pi), Epoch: uint64(epoch), Shuffle: ss.id, Stage: ss.fp, Data: data}
-	if err := c.enc.Encode(frameHdr{Kind: frameShuffleMap}); err != nil {
-		return &taskFailure{ioErr: err}
-	}
-	if err := c.enc.Encode(task); err != nil {
-		return &taskFailure{ioErr: err}
-	}
+	task := shuffleMapMsg{ID: uint64(pi), Epoch: uint64(epoch), Shuffle: ss.id, Stage: ss.ship.fp, Data: data}
 	var ack shuffleMapAck
-	if err := c.dec.Decode(&ack); err != nil {
-		return &taskFailure{ioErr: err}
+	if err := c.exchange(frameShuffleMap, task, &ack); err != nil {
+		return err
 	}
 	if ack.Err != "" {
 		return &taskFailure{
@@ -576,115 +266,39 @@ func (ss *shuffleSession) sendMap(c *conn, mr *mapRun, addr string, pi, epoch in
 	if ack.ID != uint64(pi) || ack.Epoch != uint64(epoch) {
 		return &taskFailure{ioErr: fmt.Errorf("cluster: shuffle map id/epoch mismatch: sent %d/%d got %d/%d", pi, epoch, ack.ID, ack.Epoch)}
 	}
-	mr.commit(pi, &ack)
-	engine.ObserveTask("cluster", time.Since(started))
+	// I/O complete: let a persistent driver pool the connection if this
+	// commit ends the round (see sendTask).
+	c.busy.Store(false)
+	q.commit(pi, func() {
+		ss.stats.Tasks.Add(1)
+		ss.stats.ShuffleBytesPushed.Add(ack.PushedBytes)
+	})
 	return nil
 }
 
-// ctrlConn returns (dialing on demand) the session's control
-// connection to addr, with the shuffle opened on it.
-func (ss *shuffleSession) ctrlConn(ctx context.Context, addr string) (*conn, error) {
+// ctrlLink returns the session's control link to addr.
+func (ss *shuffleSession) ctrlLink(addr string) *link {
 	ss.ctrlMu.Lock()
-	c := ss.ctrl[addr]
-	ss.ctrlMu.Unlock()
-	if c != nil {
-		return c, nil
+	defer ss.ctrlMu.Unlock()
+	l := ss.ctrl[addr]
+	if l == nil {
+		l = ss.d.newLink(addr, ss.stats, nil, false)
+		ss.ctrl[addr] = l
 	}
-	nc, err := ss.d.connect(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	if tt := ss.d.taskTimeout(); tt > 0 {
-		_ = nc.raw.SetDeadline(time.Now().Add(tt))
-	}
-	err = ss.ensureBegin(nc, ss.addrIdx(addr))
-	_ = nc.raw.SetDeadline(time.Time{})
-	if err != nil {
-		nc.close()
-		ss.harvest(nc)
-		return nil, err
-	}
-	ss.ctrlMu.Lock()
-	if ss.ctrl[addr] == nil {
-		ss.ctrl[addr] = nc
-		ss.ctrlMu.Unlock()
-		return nc, nil
-	}
-	// Lost a benign race; keep the existing connection.
-	c = ss.ctrl[addr]
-	ss.ctrlMu.Unlock()
-	nc.close()
-	ss.harvest(nc)
-	return c, nil
+	return l
 }
 
-// dropCtrl closes a control connection after a transport failure.
-func (ss *shuffleSession) dropCtrl(addr string) {
-	ss.ctrlMu.Lock()
-	c := ss.ctrl[addr]
-	delete(ss.ctrl, addr)
-	ss.ctrlMu.Unlock()
-	if c != nil {
-		c.close()
-		ss.harvest(c)
-	}
-}
-
-// withCtrl runs one control round trip against addr, redialing and
-// retrying on failures. Deterministic failures surface immediately;
-// retryable executor-side failures are bounded by the task retry
-// budget; dial/transport failures get the same patience a stage slot
-// gets (SlotFailureLimit consecutive attempts with capped backoff), so
-// an executor that hard-dies and rebinds its port within a few seconds
+// withCtrl runs one control round trip against addr on the session's
+// control link, with the shuffle opened on the connection first. An
+// executor that hard-dies and rebinds its port within a few seconds
 // rejoins the control plane just like it rejoins the task plane.
 func (ss *shuffleSession) withCtrl(ctx context.Context, addr string, f func(c *conn) error) error {
-	var lastErr error
-	taskFails, transportFails := 0, 0
-	for attempt := 0; ; attempt++ {
-		if ctx.Err() != nil {
-			return ctx.Err()
+	return ss.ctrlLink(addr).roundTrip(ctx, func(c *conn) error {
+		if err := ss.ensureBegin(c, addr); err != nil {
+			return err
 		}
-		if attempt > 0 {
-			ss.stats.Reconnects.Add(1)
-			mReconnects.With(addr).Inc()
-			if !sleepCtx(ctx, ss.d.backoff(attempt)) {
-				return ctx.Err()
-			}
-		}
-		c, err := ss.ctrlConn(ctx, addr)
-		if err == nil {
-			if tt := ss.d.taskTimeout(); tt > 0 {
-				_ = c.raw.SetDeadline(time.Now().Add(tt))
-			}
-			err = f(c)
-			_ = c.raw.SetDeadline(time.Time{})
-			if err == nil {
-				return nil
-			}
-		}
-		if tf, isTF := err.(*taskFailure); isTF && tf.taskErr != nil {
-			if !tf.retryable {
-				return tf.taskErr
-			}
-			// Retryable executor-side failure: the connection is fine,
-			// but give the executor a beat (and the driver a chance to
-			// recover lost state) before the next attempt.
-			// Keep the retryable marker: reduceAll distinguishes "executor
-			// lost state, re-materialize and try again" (retryable) from
-			// deterministic failures by it.
-			lastErr = engine.Retryable(tf.taskErr)
-			if taskFails++; taskFails > ss.d.retries() {
-				break
-			}
-			continue
-		}
-		lastErr = err
-		ss.dropCtrl(addr)
-		if transportFails++; transportFails >= ss.d.slotFailureLimit() {
-			break
-		}
-	}
-	return fmt.Errorf("cluster: shuffle control on %s: %w", addr, lastErr)
+		return f(c)
+	})
 }
 
 // barrier asks every executor which map sources its owned partitions
@@ -701,15 +315,9 @@ func (ss *shuffleSession) barrier(ctx context.Context) ([]int, error) {
 	for _, addr := range ss.d.Addrs {
 		var ack shuffleBarrierAck
 		err := ss.withCtrl(ctx, addr, func(c *conn) error {
-			if err := c.enc.Encode(frameHdr{Kind: frameShuffleBarrier}); err != nil {
-				return &taskFailure{ioErr: err}
-			}
-			if err := c.enc.Encode(&shuffleBarrierMsg{Shuffle: ss.id, Sources: ss.sources}); err != nil {
-				return &taskFailure{ioErr: err}
-			}
 			ack = shuffleBarrierAck{}
-			if err := c.dec.Decode(&ack); err != nil {
-				return &taskFailure{ioErr: err}
+			if err := c.exchange(frameShuffleBarrier, &shuffleBarrierMsg{Shuffle: ss.id, Sources: ss.sources}, &ack); err != nil {
+				return err
 			}
 			if ack.Err != "" {
 				return &taskFailure{taskErr: fmt.Errorf("cluster: shuffle barrier on %s: %s", addr, ack.Err), retryable: true}
@@ -762,7 +370,7 @@ func (ss *shuffleSession) ensureMaterialized(ctx context.Context, initial []int)
 
 // allTasks lists every map task index.
 func (ss *shuffleSession) allTasks() []int {
-	tasks := make([]int, len(ss.rel.Partitions))
+	tasks := make([]int, len(ss.sources))
 	for i := range tasks {
 		tasks[i] = i
 	}
@@ -795,15 +403,9 @@ func (ss *shuffleSession) reducePass(ctx context.Context, makeMsg func(part int)
 				var ack shuffleReduceAck
 				taskStart := time.Now()
 				err := ss.withCtrl(ctx, addr, func(c *conn) error {
-					if err := c.enc.Encode(frameHdr{Kind: frameShuffleReduce}); err != nil {
-						return &taskFailure{ioErr: err}
-					}
-					if err := c.enc.Encode(makeMsg(p)); err != nil {
-						return &taskFailure{ioErr: err}
-					}
 					ack = shuffleReduceAck{}
-					if err := c.dec.Decode(&ack); err != nil {
-						return &taskFailure{ioErr: err}
+					if err := c.exchange(frameShuffleReduce, makeMsg(p), &ack); err != nil {
+						return err
 					}
 					if ack.Err != "" {
 						return &taskFailure{
@@ -876,18 +478,14 @@ func reduceAll(ctx context.Context, sessions []*shuffleSession, makeMsg func(par
 func (ss *shuffleSession) free() {
 	ss.ctrlMu.Lock()
 	ctrl := ss.ctrl
-	ss.ctrl = map[string]*conn{}
+	ss.ctrl = map[string]*link{}
 	ss.ctrlMu.Unlock()
-	for _, c := range ctrl {
-		_ = c.raw.SetDeadline(time.Now().Add(2 * time.Second))
-		if err := c.enc.Encode(frameHdr{Kind: frameShuffleFree}); err == nil {
-			if err := c.enc.Encode(&shuffleFreeMsg{Shuffles: []uint64{ss.id}}); err == nil {
-				var ack shuffleFreeAck
-				_ = c.dec.Decode(&ack)
-			}
+	for _, l := range ctrl {
+		if c := l.c; c != nil {
+			_ = c.raw.SetDeadline(time.Now().Add(2 * time.Second))
+			_ = c.exchange(frameShuffleFree, &shuffleFreeMsg{Shuffles: []uint64{ss.id}}, &shuffleFreeAck{})
 		}
-		c.close()
-		ss.harvest(c)
+		l.drop()
 	}
 }
 
@@ -916,25 +514,20 @@ func (d *Driver) ShuffleMaterialize(ctx context.Context, rel *relation.Relation,
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-	out := &relation.Relation{Schema: ss.schema, Partitions: outParts}
-	st := ss.finishStats(stats, start, rel.NumRows(), out.NumRows())
-	return out, st, nil
+	return finishShuffle(start, rel.NumRows(), &relation.Relation{Schema: ss.schema, Partitions: outParts}, ss)
 }
 
-// finishStats assembles the session's engine.Stats. The control
-// connections are still open (free() runs afterwards), so their byte
-// counters — which include every reduce result payload — are folded in
-// here first.
-func (ss *shuffleSession) finishStats(stats *engine.StatsCollector, start time.Time, rowsIn, rowsOut int) engine.Stats {
-	ss.harvestCtrl()
-	stats.RowsIn.Store(int64(rowsIn))
-	stats.RowsOut.Store(int64(rowsOut))
-	stats.Partitions.Store(int64(ss.parts))
-	stats.WallNs.Store(int64(time.Since(start)))
-	stats.ShufflePartitions.Add(int64(ss.parts))
-	st := stats.Snapshot()
-	engine.ObserveStage("cluster", st)
-	return st
+// finishShuffle frees the plan's sessions — closing their control
+// connections folds the byte counters, which include every reduce
+// result payload, into the shared collector — and returns out with the
+// plan's stats.
+func finishShuffle(start time.Time, rowsIn int, out *relation.Relation, sessions ...*shuffleSession) (*relation.Relation, engine.Stats, error) {
+	for _, s := range sessions {
+		s.free()
+	}
+	ss := sessions[0]
+	ss.stats.ShufflePartitions.Add(int64(ss.parts))
+	return out, finishStats(ss.stats, start, rowsIn, out.NumRows(), ss.parts), nil
 }
 
 // ShuffleJoin implements engine.ShuffleExecutor: both sides are
@@ -990,10 +583,7 @@ func (d *Driver) ShuffleJoin(ctx context.Context, left, right *relation.Relation
 	if err != nil {
 		return nil, engine.Stats{}, err
 	}
-	out := &relation.Relation{Schema: outSchema, Partitions: outParts}
-	ssR.harvestCtrl()
-	st := ssL.finishStats(stats, start, left.NumRows()+right.NumRows(), out.NumRows())
-	return out, st, nil
+	return finishShuffle(start, left.NumRows()+right.NumRows(), &relation.Relation{Schema: outSchema, Partitions: outParts}, ssL, ssR)
 }
 
 // ShuffleAggregate implements engine.ShuffleExecutor: the shuffle
@@ -1039,7 +629,5 @@ func (d *Driver) ShuffleAggregate(ctx context.Context, rel *relation.Relation, g
 	// key-ordered; the n-way merge restores the global order Aggregate
 	// and MergePartials produce.
 	merged := engine.MergeByGroupKey(outParts, len(groupBy))
-	out := &relation.Relation{Schema: finalSchema, Partitions: [][]relation.Row{merged}}
-	st := ss.finishStats(stats, start, rel.NumRows(), out.NumRows())
-	return out, st, nil
+	return finishShuffle(start, rel.NumRows(), &relation.Relation{Schema: finalSchema, Partitions: [][]relation.Row{merged}}, ss)
 }

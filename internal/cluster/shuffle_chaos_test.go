@@ -292,3 +292,42 @@ func TestChaosShuffleExecutorKilled(t *testing.T) {
 		t.Fatalf("expected reconnects after the kill, stats = %+v", r.st)
 	}
 }
+
+// TestChaosShuffleBeginDelayed pins the begin-before-map ordering
+// regardless of timing: the begin ack on executor 1's first connection
+// (the control connection the driver opens the shuffle on) is held
+// back, yet no map task may push to executor 1 before it holds the
+// shuffle, so nothing is rejected and nothing retries.
+func TestChaosShuffleBeginDelayed(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	addrs, stop, err := StartLocalCluster(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	proxy, err := faultproxy.New(addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	plan := faultproxy.Passthrough()
+	plan.Latency = 200 * time.Millisecond
+	plan.Once = true
+	proxy.SetPlan(plan)
+
+	drv := &Driver{Addrs: []string{addrs[0], proxy.Addr()}, ReconnectBase: 10 * time.Millisecond}
+	rel := keyedRel(400, 4)
+	want, err := rel.PartitionByKey(4, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := drv.ShuffleMaterialize(ctx, rel, nil, []string{"k"}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSamePartitioned(t, "delayed begin", want, got)
+	if st.Retries != 0 {
+		t.Fatalf("map tasks retried %d time(s) behind a delayed begin, stats = %+v", st.Retries, st)
+	}
+}

@@ -155,7 +155,7 @@ func (e *Env) checkCompact(ctx context.Context, w *Workload, dir string) []strin
 }
 
 // TestCompactDifferential drives the encoding/compaction invariants
-// over the seeded workload population (the `make difftest-compact` CI
+// over the seeded workload population (the `make difftest FAMILY=compact` CI
 // job). Replay one failure with -difftest.seed=<seed>
 // -difftest.encoding.
 func TestCompactDifferential(t *testing.T) {

@@ -227,7 +227,7 @@ func diffRowsInOrder(want, got *relation.Relation) string {
 }
 
 // TestQueryDifferential drives the query-frontend invariants over the
-// seeded workload population (the `make difftest-query` CI job). Replay
+// seeded workload population (the `make difftest FAMILY=query` CI job). Replay
 // one failure with -difftest.seed=<seed> -difftest.query.
 func TestQueryDifferential(t *testing.T) {
 	armBudget(t)

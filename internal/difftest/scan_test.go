@@ -155,7 +155,7 @@ func (e *Env) checkScan(ctx context.Context, w *Workload, dir string) []string {
 }
 
 // TestScanDifferential drives the segment-scan invariants over the
-// seeded workload population (the `make difftest-scan` CI job). Replay
+// seeded workload population (the `make difftest FAMILY=scan` CI job). Replay
 // one failure with -difftest.seed=<seed> -difftest.scan.
 func TestScanDifferential(t *testing.T) {
 	armBudget(t)

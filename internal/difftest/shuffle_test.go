@@ -183,7 +183,7 @@ func (e *Env) checkShuffle(ctx context.Context, w *Workload) []string {
 }
 
 // TestShuffleDifferential drives the shuffle invariants over the seeded
-// workload population (the `make difftest-shuffle` CI job). Replay one
+// workload population (the `make difftest FAMILY=shuffle` CI job). Replay one
 // failure with -difftest.seed=<seed> -difftest.shuffle.
 func TestShuffleDifferential(t *testing.T) {
 	armBudget(t)

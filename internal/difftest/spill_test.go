@@ -13,7 +13,7 @@ import (
 // -difftest.membudget puts the whole differential run under a memory
 // budget: every seeded workload then executes with governed sorts and
 // aggregations, and any budget small enough forces them all through the
-// spill paths. make difftest-spill runs TestDifferential with a 4KiB
+// spill paths. make difftest FAMILY=spill runs TestDifferential with a 4KiB
 // budget under -race.
 var flagMemBudget = flag.Int64("difftest.membudget", 0,
 	"memory budget in bytes for the engine governor during the differential run (0 = unlimited); tiny values force every sort/aggregation to spill")
