@@ -5,8 +5,7 @@
 //	extract -trace syn.ivtr -catalog syn-catalog.json -config syn-domain.json -o state.txt
 //	extract -trace j.ivtr -dbc body.dbc -channel FC -config dom.json  # DBC documentation
 //	extract ... -cluster host1:7077,host2:7077   # distributed execution
-//	extract ... -store results/                  # persist to the result database
-//	extract ... -store-dir segments/             # persist as columnar segments
+//	extract ... -store results/                  # seal into the result database
 package main
 
 import (
@@ -15,17 +14,14 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"ivnt/internal/cluster"
 	"ivnt/internal/core"
 	"ivnt/internal/engine"
 	"ivnt/internal/protocol/dbc"
-	"ivnt/internal/reduce"
 	"ivnt/internal/rules"
 	"ivnt/internal/segstore"
-	"ivnt/internal/store"
 	"ivnt/internal/trace"
 )
 
@@ -38,9 +34,7 @@ func main() {
 		dbcPath   = flag.String("dbc", "", "CAN database (DBC) to derive the catalog from")
 		dbcChan   = flag.String("channel", "FC", "channel (b_id) the DBC messages occur on")
 		cfgPath   = flag.String("config", "", "domain configuration (JSON); required")
-		storeDir  = flag.String("store", "", "persist results into this result-store directory")
-		segDir    = flag.String("store-dir", "", "persist reduced sequences as columnar segments under this directory (one segment store per domain, one segment per signal)")
-		segEnc    = flag.Bool("store-encodings", true, "dictionary/RLE-encode column chunks of persisted segments (reduced signal sequences are low-cardinality, so this usually shrinks them further than DEFLATE alone)")
+		storeDir  = flag.String("store", "", "seal the domain's reduced, signal and extension sequences as segment stores under this result-store directory (docs/STORAGE.md)")
 		out       = flag.String("o", "", "state representation output file (default stdout)")
 		workers   = flag.Int("workers", 0, "local executor workers (0 = all cores)")
 		clusterFl = flag.String("cluster", "", "comma-separated executor addresses; empty = local execution")
@@ -115,22 +109,15 @@ func main() {
 	}
 
 	if *storeDir != "" {
-		db, err := store.Open(*storeDir)
+		st, err := core.SealResult(*storeDir, cfg.Name, res)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := db.WriteResult(cfg.Name, res, exec.Name(), tr.Len()); err != nil {
-			log.Fatal(err)
+		for _, seg := range []*segstore.Store{st.Reduced, st.Signals, st.Extensions} {
+			if seg != nil {
+				fmt.Printf("%d segments (%d rows) sealed under %s\n", seg.NumSegments(), seg.Rows(), seg.Dir())
+			}
 		}
-		fmt.Printf("results stored under %s/%s\n", *storeDir, cfg.Name)
-	}
-
-	if *segDir != "" {
-		segs, rows, err := writeSegments(filepath.Join(*segDir, cfg.Name), res.Reduced, *segEnc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%d segments (%d rows) sealed under %s/%s\n", segs, rows, *segDir, cfg.Name)
 	}
 
 	w := os.Stdout
@@ -154,28 +141,4 @@ func main() {
 	if *out != "" {
 		fmt.Printf("state representation written to %s\n", *out)
 	}
-}
-
-// writeSegments seals each signal's reduced sequence as one immutable
-// columnar segment in a per-domain segment store. Segment-per-signal is
-// the natural clustering: every segment's sid zone map collapses to a
-// single value, so a pushed-down `sid == "..."` filter prunes all other
-// signals without decoding a byte (see docs/STORAGE.md).
-func writeSegments(dir string, reduced []reduce.Reduced, encodings bool) (segs, rows int, err error) {
-	st, err := segstore.Open(dir, trace.SignalSchema(), segstore.Options{Compress: true, Encodings: encodings})
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, red := range reduced {
-		rs := red.Rel.Rows()
-		if len(rs) == 0 {
-			continue
-		}
-		if err := st.AppendSegment(rs); err != nil {
-			return segs, rows, fmt.Errorf("segment for %s: %w", red.SID, err)
-		}
-		segs++
-		rows += len(rs)
-	}
-	return segs, rows, nil
 }

@@ -1,6 +1,8 @@
 // Command mine runs the data-mining applications of Sec. 4.4 over a
-// stored state representation: association rules, transition graphs
-// (with rare-transition detection and DOT export) and anomaly ranking.
+// domain that extract -store sealed: association rules, transition
+// graphs (with rare-transition detection and DOT export) and anomaly
+// ranking over the state representation rebuilt from the stored signal
+// and extension sequences, and motif mining over one stored signal.
 //
 //	mine -store results -domain SYN -app rules
 //	mine -store results -domain SYN -app graph -dot graph.dot
@@ -9,16 +11,17 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
+	"ivnt/internal/core"
 	"ivnt/internal/mining/anomaly"
 	"ivnt/internal/mining/assoc"
 	"ivnt/internal/mining/motif"
 	"ivnt/internal/mining/transition"
-	"ivnt/internal/store"
 	"ivnt/internal/telemetry"
 )
 
@@ -26,7 +29,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mine: ")
 	var (
-		storeDir  = flag.String("store", "", "result-store directory; required")
+		storeDir  = flag.String("store", "", "result-store directory written by extract -store; required")
 		domain    = flag.String("domain", "", "stored domain name; required (list with -domain '')")
 		app       = flag.String("app", "rules", "application: rules, graph, anomaly or motif")
 		signal    = flag.String("signal", "", "motif: which stored signal sequence to mine")
@@ -53,28 +56,28 @@ func main() {
 		defer dbg.Close()
 		log.Printf("debug server on http://%s", dbg.Addr())
 	}
-	db, err := store.Open(*storeDir)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *domain == "" {
-		domains, err := db.Domains()
+		domains, err := core.StoredDomains(*storeDir)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("stored domains:")
 		for _, d := range domains {
-			man, err := db.Manifest(d)
+			st, err := core.OpenStored(*storeDir, d)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("  %-16s %6d states, %3d signals, extracted %s by %s\n",
-				d, man.States, len(man.Signals), man.CreatedAt.Format("2006-01-02 15:04"), man.Executor)
+			fmt.Printf("  %-16s %3d signals, %7d reduced rows\n", d, st.Signals.NumSegments(), st.Reduced.Rows())
 		}
 		return
 	}
 
-	tb, err := db.ReadState(*domain)
+	ctx := context.Background()
+	st, err := core.OpenStored(*storeDir, *domain)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tb, err := st.State(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func main() {
 		if *signal == "" {
 			log.Fatal("motif mining needs -signal")
 		}
-		seq, err := db.ReadSequence(*domain, *signal)
+		seq, err := st.Sequence(ctx, *signal)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,17 +1,28 @@
 package ivnt
 
 // CLI integration: builds the command binaries once and drives the
-// documented workflow — tracegen → inspect → extract (with store) →
-// mine — end to end through their main entry points.
+// documented workflow — tracegen → inspect → extract -store → served
+// /query → mine — end to end on one store directory.
 
 import (
+	"bytes"
+	"encoding/json"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"ivnt/internal/core"
+	"ivnt/internal/engine"
+	"ivnt/internal/segstore"
+	"ivnt/internal/serve"
 )
 
 // buildCommands compiles the CLI binaries into a temp dir.
@@ -67,10 +78,49 @@ func TestCLIWorkflow(t *testing.T) {
 
 	out = runCmd(t, bins["extract"], "-trace", tracePath, "-catalog", catPath,
 		"-config", cfgPath, "-store", storeDir, "-maxrows", "3")
-	for _, frag := range []string{"K_s rows:", "reduced rows:", "results stored under"} {
+	for _, frag := range []string{"K_s rows:", "segments (", "sealed under"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("extract output missing %q:\n%s", frag, out)
 		}
+	}
+	m := regexp.MustCompile(`reduced rows:\s+(\d+)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("extract printed no reduced row count:\n%s", out)
+	}
+	reducedRows, _ := strconv.Atoi(m[1])
+
+	// Serve the sealed reduced sequences in-process and count them per
+	// signal: every reduced row extract reported must be queryable.
+	stored, err := core.OpenStored(storeDir, "SYN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &serve.Server{
+		Exec: engine.NewLocal(2),
+		Catalog: serve.NewCatalog(&serve.Config{Tenants: map[string]*serve.TenantConfig{
+			"acme": {Relations: map[string]string{"trace": stored.Reduced.Dir()}},
+		}}, segstore.Options{}),
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(map[string]string{"tenant": "acme", "sql": "SELECT sid, count(*) AS n FROM trace GROUP BY sid"})
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qr serve.Response
+	err = json.NewDecoder(resp.Body).Decode(&qr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("served /query: HTTP %d: %v", resp.StatusCode, err)
+	}
+	served := 0
+	for _, row := range qr.Rows {
+		served += int(row[1].(float64))
+	}
+	if len(qr.Rows) != stored.Reduced.NumSegments() || served != reducedRows {
+		t.Fatalf("served %d signals / %d rows, extract reported %d signals / %d rows",
+			len(qr.Rows), served, stored.Reduced.NumSegments(), reducedRows)
 	}
 
 	out = runCmd(t, bins["mine"], "-store", storeDir, "-domain", "")
@@ -84,6 +134,10 @@ func TestCLIWorkflow(t *testing.T) {
 	out = runCmd(t, bins["mine"], "-store", storeDir, "-domain", "SYN", "-app", "graph")
 	if !strings.Contains(out, "transitions") {
 		t.Fatalf("mine graph:\n%s", out)
+	}
+	out = runCmd(t, bins["mine"], "-store", storeDir, "-domain", "SYN", "-app", "motif", "-signal", "SYN.num00")
+	if !strings.Contains(out, "frequent motifs of SYN.num00") {
+		t.Fatalf("mine motif:\n%s", out)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"ivnt/internal/mining/transition"
 	"ivnt/internal/protocol/dbc"
 	"ivnt/internal/rules"
-	"ivnt/internal/store"
 	"ivnt/internal/trace"
 )
 
@@ -70,15 +69,15 @@ func TestFullWorkflowFilesToMining(t *testing.T) {
 		t.Fatal("empty state representation")
 	}
 
-	// 3. Persist into the result database and read back.
-	db, err := store.Open(filepath.Join(dir, "results"))
+	// 3. Seal into the result database and read back.
+	if _, err := core.SealResult(filepath.Join(dir, "results"), cfg.Name, res); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := core.OpenStored(filepath.Join(dir, "results"), cfg.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteResult(cfg.Name, res, "local", loaded.Len()); err != nil {
-		t.Fatal(err)
-	}
-	tb, err := db.ReadState(cfg.Name)
+	tb, err := stored.State(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,13 +229,15 @@ func (q *taskQueue) dropInflightLocked(pi int) time.Time {
 
 // abandon records a failed launch of task pi and requeues the task
 // unless another copy is still in flight or the retry budget is
-// exhausted (which fails the round).
-func (q *taskQueue) abandon(pi int, cause error, addr string) {
+// exhausted (which fails the round). It returns the task's failed
+// attempts so far, 0 when the failure was moot (the task had already
+// committed or the round had ended).
+func (q *taskQueue) abandon(pi int, cause error, addr string) int {
 	q.mu.Lock()
 	q.dropInflightLocked(pi)
 	if q.done[pi] || q.closed {
 		q.mu.Unlock()
-		return
+		return 0
 	}
 	q.attempts[pi]++
 	q.stats.Retries.Add(1)
@@ -254,6 +256,7 @@ func (q *taskQueue) abandon(pi int, cause error, addr string) {
 	if tooMany {
 		q.fail(fmt.Errorf("cluster: %s %d failed %d times (last on %s): %w", q.noun, pi, attempts, addr, cause))
 	}
+	return attempts
 }
 
 // speculate is the straggler monitor: any task whose oldest in-flight
@@ -334,7 +337,7 @@ func (d *Driver) runQueue(ctx context.Context, q *taskQueue, send roundTrip, spe
 			wg.Add(1)
 			go func(addr string) {
 				defer wg.Done()
-				d.runSlot(cctx, addr, q, send)
+				d.runSlot(cctx, d.newLink(addr, q.stats, q.stageSpan, true), q, send)
 			}(addr)
 		}
 	}
@@ -357,15 +360,17 @@ func (d *Driver) runQueue(ctx context.Context, q *taskQueue, send roundTrip, spe
 	return nil
 }
 
-// runSlot owns one executor connection for a round and is the only
+// runSlot owns one executor connection, l, for a round and is the only
 // loop that does. Transport failures do not retire the slot: the
 // in-flight task is requeued and the slot reconnects with capped
-// exponential backoff, so executors that restart mid-round rejoin. Only
+// exponential backoff, so executors that restart mid-round rejoin. A
+// retryable task failure is requeued too, and the slot waits the same
+// backoff for the task's attempt count before drawing more work. Only
 // SlotFailureLimit consecutive failures retire the slot, bounding the
 // damage of a persistently dead or flaky executor (it must not starve
 // the retry budget of healthy ones).
-func (d *Driver) runSlot(ctx context.Context, addr string, q *taskQueue, send roundTrip) {
-	l := d.newLink(addr, q.stats, q.stageSpan, true)
+func (d *Driver) runSlot(ctx context.Context, l *link, q *taskQueue, send roundTrip) {
+	addr := l.addr
 	defer l.release()
 	for {
 		if ctx.Err() != nil || q.finished() || l.retired() {
@@ -447,8 +452,10 @@ func (d *Driver) runSlot(ctx context.Context, addr string, q *taskQueue, send ro
 				q.abandon(pi, tf.taskErr, addr)
 			case tf.retryable:
 				// Environmental task failure (e.g. disk full during
-				// spill): requeue like a transport failure.
-				q.abandon(pi, tf.taskErr, addr)
+				// spill): requeue and back off like a transport failure.
+				if n := q.abandon(pi, tf.taskErr, addr); n > 0 && !l.wait(ctx, d.backoff(n)) {
+					return
+				}
 			default:
 				q.fail(tf.taskErr)
 				return

@@ -79,3 +79,50 @@ func TestLinkRoundTripAccounting(t *testing.T) {
 		})
 	}
 }
+
+// TestSlotBacksOffAfterRetryableFailure: a task that fails retryably is
+// requeued, and the slot waits the backoff for the task's attempt count
+// before drawing it again, as it does after a transport failure.
+func TestSlotBacksOffAfterRetryableFailure(t *testing.T) {
+	d := &Driver{MaxRetries: 3, ReconnectBase: 40 * time.Millisecond, ReconnectMax: time.Second}
+	stats := engine.NewStatsCollector()
+	q := d.newTaskQueue("task", 1, []int{0}, stats)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	q.cancel = cancel
+
+	l := d.newLink("fake:1", stats, nil, false)
+	l.dial = func(context.Context, string) (*conn, error) {
+		a, b := net.Pipe()
+		t.Cleanup(func() { b.Close() })
+		return newConn(a), nil
+	}
+	var waits []time.Duration
+	l.wait = func(_ context.Context, dur time.Duration) bool {
+		waits = append(waits, dur)
+		return true
+	}
+	retryable := &taskFailure{taskErr: errors.New("spill: no space left"), retryable: true}
+	calls := 0
+	d.runSlot(ctx, l, q, func(_ *conn, _ string, pi, _ int) (bool, error) {
+		calls++
+		if calls <= 2 {
+			return false, retryable
+		}
+		q.commit(pi, func() {})
+		return false, nil
+	})
+	if calls != 3 || len(waits) != 2 {
+		t.Fatalf("calls/waits = %d/%d, want 3/2", calls, len(waits))
+	}
+	// backoff(n) is jittered within [base·2^(n-1)/2, base·2^(n-1)].
+	for i, w := range waits {
+		hi := d.ReconnectBase << i
+		if w < hi/2 || w > hi {
+			t.Fatalf("wait %d = %v, want within [%v, %v]", i+1, w, hi/2, hi)
+		}
+	}
+	if got := stats.Retries.Load(); got != 2 {
+		t.Fatalf("retries = %d, want 2", got)
+	}
+}

@@ -31,21 +31,8 @@ import (
 // and benchmarks exercise both explicitly).
 var Vectorize atomic.Bool
 
-// RunSkip enables run skipping inside fused filter steps: when
-// consecutive selected rows carry bitwise-identical cells in every
-// column the filter reads, the previous verdict is reused instead of
-// re-evaluating the program. Dict/RLE-encoded segment scans produce
-// exactly this shape — long runs of repeated status values — so on
-// low-cardinality traces most filter evaluations collapse into memcmp
-// of a few cells. Sound because fused filters are window-free (fusable
-// excludes window programs) and every expression builtin is pure: equal
-// inputs give equal verdicts. Default on; the differential harness
-// exercises both settings.
-var RunSkip atomic.Bool
-
 func init() {
 	Vectorize.Store(true)
-	RunSkip.Store(true)
 }
 
 // batchSize is the number of input rows processed per fused batch.
@@ -321,10 +308,13 @@ func runFused(run *fusedRun, rows []relation.Row, sc *vecScratch) []relation.Row
 			step := &run.steps[si]
 			if step.dst < 0 {
 				kept := sel[:0]
-				if step.skipCols != nil && RunSkip.Load() {
+				if step.skipCols != nil {
 					// Run skipping: selected rows whose referenced cells are
 					// bitwise-identical to the previously evaluated row reuse
-					// its verdict. RLE-shaped data makes these runs long.
+					// its verdict. Dict/RLE-encoded segment scans make these
+					// runs long. Sound because fused filters are window-free
+					// and every expression builtin is pure: equal inputs give
+					// equal verdicts.
 					last := int32(-1)
 					verdict := false
 					skipped := int64(0)
