@@ -36,7 +36,7 @@ check: build vet vet-metrics test race
 #            plus the five metamorphic invariants (partition count, row
 #            order, compression, kill+restart, speculation)
 #   spill    core under a memory budget small enough that every sort and
-#            aggregation spills, row and vectorized (docs/MEMORY.md)
+#            aggregation spills (docs/MEMORY.md)
 #   shuffle  shuffle materialization / join / aggregation bitwise against
 #            PartitionByKey and the broadcast funnel, in-process and over
 #            TCP (docs/SHUFFLE.md)
@@ -94,14 +94,14 @@ fuzz-smoke:
 bench: build
 	$(GO) test -run NONE -bench 'BenchmarkEncode|BenchmarkDecode' -benchtime 0.5s ./internal/colcodec/
 	$(GO) test -run NONE -bench 'BenchmarkBroadcastJoinStage|BenchmarkRuleCacheParallel|BenchmarkEvalRuleParallel' -benchtime 0.5s ./internal/engine/
-	$(GO) test -run NONE -bench 'BenchmarkFusedPipeline|BenchmarkBroadcastJoinRows|BenchmarkBroadcastJoinVec|BenchmarkSortWithin' -benchtime 0.5s ./internal/engine/
+	$(GO) test -run NONE -bench 'BenchmarkFusedPipeline|BenchmarkBroadcastJoinVec|BenchmarkSortWithin' -benchtime 0.5s ./internal/engine/
 	$(GO) test -run NONE -bench 'BenchmarkClusterStage' -benchtime 0.5s ./internal/cluster/
-	$(GO) run ./cmd/benchmark -exp wire -wire-out BENCH_engine.json
-	$(GO) run ./cmd/benchmark -exp pipeline -pipeline-out BENCH_engine.json
-	$(GO) run ./cmd/benchmark -exp spill -spill-out BENCH_engine.json
-	$(GO) run ./cmd/benchmark -exp shuffle -shuffle-out BENCH_engine.json
-	$(GO) run ./cmd/benchmark -exp scan -scan-out BENCH_engine.json
-	$(GO) run ./cmd/benchmark -exp serve -serve-out BENCH_engine.json
+	$(GO) run ./cmd/benchmark -exp wire -out BENCH_engine.json
+	$(GO) run ./cmd/benchmark -exp pipeline -out BENCH_engine.json
+	$(GO) run ./cmd/benchmark -exp spill -out BENCH_engine.json
+	$(GO) run ./cmd/benchmark -exp shuffle -out BENCH_engine.json
+	$(GO) run ./cmd/benchmark -exp scan -out BENCH_engine.json
+	$(GO) run ./cmd/benchmark -exp serve -out BENCH_engine.json
 
 # One-iteration pass over every benchmark in the module: catches
 # bit-rotted benchmark code in CI without paying measurement time.

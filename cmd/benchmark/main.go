@@ -39,23 +39,18 @@ func main() {
 		taskTimeout = flag.Duration("task-timeout", 0, "cluster: per-task deadline (0 = driver default, negative disables)")
 		specFactor  = flag.Float64("speculation", 0, "cluster: straggler speculation factor k (0 = driver default, negative disables)")
 		wireRows    = flag.Int("wire-rows", 0, "wire: rows in the streamed relation (0 = default)")
-		wireOut     = flag.String("wire-out", "", "wire: also write results into this JSON file's \"wire\"/\"codec\" sections (e.g. BENCH_engine.json)")
 		pipeRows    = flag.Int("pipeline-rows", 0, "pipeline: rows in the measured partition (0 = default)")
-		pipeOut     = flag.String("pipeline-out", "", "pipeline: also write results into this JSON file's \"pipeline\" section (e.g. BENCH_engine.json)")
 		spillRows   = flag.Int("spill-rows", 0, "spill: rows in the measured partition (0 = default)")
 		spillBudget = flag.String("spill-budget", "", "spill: memory budget for the governed run (e.g. 1MiB; empty = footprint/4)")
-		spillOut    = flag.String("spill-out", "", "spill: also write results into this JSON file's \"spill\" section (e.g. BENCH_engine.json)")
 		shufRows    = flag.Int("shuffle-rows", 0, "shuffle: probe-side rows (0 = default)")
 		shufParts   = flag.Int("shuffle-parts", 0, "shuffle: exchange fan-out (0 = 2x executors)")
 		shufKeyCard = flag.Int("shuffle-keycard", 0, "shuffle: join-key cardinality = build-side rows (0 = default)")
-		shufOut     = flag.String("shuffle-out", "", "shuffle: also write results into this JSON file's \"shuffle\" section (e.g. BENCH_engine.json)")
 		scanSegs    = flag.Int("scan-segments", 0, "scan: segments in the store (0 = default)")
 		scanRows    = flag.Int("scan-rows", 0, "scan: rows per segment (0 = default)")
-		scanOut     = flag.String("scan-out", "", "scan: also write results into this JSON file's \"scan\" section (e.g. BENCH_engine.json)")
 		serveSegs   = flag.Int("serve-segments", 0, "serve: segments in the store (0 = default)")
 		serveRows   = flag.Int("serve-rows", 0, "serve: rows per segment (0 = default)")
 		serveIters  = flag.Int("serve-iters", 0, "serve: requests per mode (0 = default)")
-		serveOut    = flag.String("serve-out", "", "serve: also write results into this JSON file's \"serve\" section (e.g. BENCH_engine.json)")
+		out         = flag.String("out", "", "wire, pipeline, spill, shuffle, scan, serve: also merge each experiment's results into its section of this JSON file (e.g. BENCH_engine.json; wire also writes \"codec\")")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON (load in Perfetto) of cluster task spans to this file")
 		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /tasks, /trace and /debug/pprof on this address (e.g. localhost:6060)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
@@ -176,7 +171,7 @@ func main() {
 			}
 			fmt.Print(bench.FormatReduction(rows))
 		case "wire":
-			if err := runWire(ctx, *wireRows, *wireOut, tracer, tasks); err != nil {
+			if err := runWire(ctx, *wireRows, *out, tracer, tasks); err != nil {
 				log.Fatal(err)
 			}
 		case "pipeline":
@@ -185,11 +180,8 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Print(bench.FormatPipeline(results))
-			if *pipeOut != "" {
-				if err := writeJSONSections(*pipeOut, map[string]any{"pipeline": results}); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("(wrote %s)\n", *pipeOut)
+			if err := writeJSONSections(*out, map[string]any{"pipeline": results}); err != nil {
+				log.Fatal(err)
 			}
 		case "spill":
 			opts := bench.SpillOptions{Rows: *spillRows}
@@ -205,11 +197,8 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Print(bench.FormatSpill(results))
-			if *spillOut != "" {
-				if err := writeJSONSections(*spillOut, map[string]any{"spill": results}); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("(wrote %s)\n", *spillOut)
+			if err := writeJSONSections(*out, map[string]any{"spill": results}); err != nil {
+				log.Fatal(err)
 			}
 		case "shuffle":
 			results, err := bench.Shuffle(ctx, bench.ShuffleOptions{
@@ -219,11 +208,8 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Print(bench.FormatShuffle(results))
-			if *shufOut != "" {
-				if err := writeJSONSections(*shufOut, map[string]any{"shuffle": results}); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("(wrote %s)\n", *shufOut)
+			if err := writeJSONSections(*out, map[string]any{"shuffle": results}); err != nil {
+				log.Fatal(err)
 			}
 		case "scan":
 			results, err := bench.Scan(ctx, bench.ScanOptions{
@@ -233,11 +219,8 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Print(bench.FormatScan(results))
-			if *scanOut != "" {
-				if err := writeJSONSections(*scanOut, map[string]any{"scan": results}); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("(wrote %s)\n", *scanOut)
+			if err := writeJSONSections(*out, map[string]any{"scan": results}); err != nil {
+				log.Fatal(err)
 			}
 		case "serve":
 			results, err := bench.Serve(ctx, bench.ServeOptions{
@@ -247,11 +230,8 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Print(bench.FormatServe(results))
-			if *serveOut != "" {
-				if err := writeJSONSections(*serveOut, map[string]any{"serve": results}); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("(wrote %s)\n", *serveOut)
+			if err := writeJSONSections(*out, map[string]any{"serve": results}); err != nil {
+				log.Fatal(err)
 			}
 		case "storage":
 			rows, err := bench.AblationStorage(*scale)
@@ -307,21 +287,17 @@ func runWire(ctx context.Context, rows int, outPath string, tracer *telemetry.Tr
 		fmt.Printf("codec (compress=%v level=%d): %d rows/partition, encode %.0f ns/op, decode %.0f ns/op, %d B encoded\n",
 			c.Compress, c.Level, c.RowsPerPartition, c.EncodeNsPerOp, c.DecodeNsPerOp, c.EncodedBytes)
 	}
-	if outPath == "" {
-		return nil
-	}
-	if err := writeJSONSections(outPath, map[string]any{"wire": results, "codec": codec}); err != nil {
-		return err
-	}
-	fmt.Printf("(wrote %s)\n", outPath)
-	return nil
+	return writeJSONSections(outPath, map[string]any{"wire": results, "codec": codec})
 }
 
 // writeJSONSections merges the given top-level sections into the JSON
-// object at path, preserving any other sections already present — so
-// the wire and pipeline experiments can each refresh their part of
-// BENCH_engine.json without clobbering the other's numbers.
+// object at path (the -out file; empty writes nothing), preserving any
+// other sections already present — so each experiment refreshes its
+// part of BENCH_engine.json without clobbering the others' numbers.
 func writeJSONSections(path string, sections map[string]any) error {
+	if path == "" {
+		return nil
+	}
 	doc := map[string]json.RawMessage{}
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &doc); err != nil {
@@ -341,7 +317,11 @@ func writeJSONSections(path string, sections map[string]any) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("(wrote %s)\n", path)
+	return nil
 }
 
 // writeTrace exports every span recorded this run as a Chrome

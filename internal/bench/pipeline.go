@@ -11,11 +11,11 @@ import (
 	"ivnt/internal/relation"
 )
 
-// PipelineOptions tune the vectorized-vs-row pipeline experiment.
+// PipelineOptions tune the pipeline experiment.
 type PipelineOptions struct {
 	// Rows in the measured partition; default 8192.
 	Rows int
-	// Target wall time per (workload, path) measurement; default 200ms.
+	// Target wall time per workload measurement; default 200ms.
 	Target time.Duration
 }
 
@@ -29,23 +29,13 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 	return o
 }
 
-// PipelineResult is one workload measured on both engine paths: the
-// row-at-a-time reference (StagePipeline.ApplyRows) and the vectorized
-// batch path (ApplyVectorized). ns/row and allocs/row are the columns
-// the acceptance bar is stated in — the fused workload must reach ≥2x
-// ns/row and ≥4x fewer allocs/row on the vectorized path.
+// PipelineResult is one workload measured through StagePipeline.Apply:
+// ns/row and allocs/row per op shape.
 type PipelineResult struct {
-	Workload string
-	Rows     int
-
-	RowNsPerRow     float64
-	RowAllocsPerRow float64
-	VecNsPerRow     float64
-	VecAllocsPerRow float64
-
-	// Speedup = RowNsPerRow / VecNsPerRow; AllocRatio likewise.
-	Speedup    float64
-	AllocRatio float64
+	Workload     string
+	Rows         int
+	NsPerRow     float64
+	AllocsPerRow float64
 }
 
 // pipelineSchema is the measured trace-stream shape: timestamp, bus
@@ -107,7 +97,7 @@ func pipelineJoinTable() *relation.Relation {
 
 // pipelineWorkloads are the measured op shapes: one workload per
 // kernel for per-op columns, plus the fused Filter→Project→AddColumn
-// chain the acceptance bar is set against.
+// chain.
 func pipelineWorkloads() []struct {
 	Name string
 	Ops  []engine.OpDesc
@@ -166,9 +156,8 @@ func measurePath(part []relation.Row, target time.Duration, apply func([]relatio
 	return float64(elapsed.Nanoseconds()) / denom, float64(m1.Mallocs-m0.Mallocs) / denom, nil
 }
 
-// Pipeline measures every workload on the row-at-a-time reference path
-// and the vectorized batch path — the "pipeline" section of
-// BENCH_engine.json.
+// Pipeline measures every workload through StagePipeline.Apply — the
+// "pipeline" section of BENCH_engine.json.
 func Pipeline(opts PipelineOptions) ([]*PipelineResult, error) {
 	opts = opts.withDefaults()
 	schema := pipelineSchema()
@@ -180,29 +169,11 @@ func Pipeline(opts PipelineOptions) ([]*PipelineResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pipeline %s: %w", w.Name, err)
 		}
-		rowNs, rowAllocs, err := measurePath(part, opts.Target, pipe.ApplyRows)
+		ns, allocs, err := measurePath(part, opts.Target, pipe.Apply)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline %s (rows): %w", w.Name, err)
+			return nil, fmt.Errorf("pipeline %s: %w", w.Name, err)
 		}
-		vecNs, vecAllocs, err := measurePath(part, opts.Target, pipe.ApplyVectorized)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline %s (vec): %w", w.Name, err)
-		}
-		r := &PipelineResult{
-			Workload:        w.Name,
-			Rows:            opts.Rows,
-			RowNsPerRow:     rowNs,
-			RowAllocsPerRow: rowAllocs,
-			VecNsPerRow:     vecNs,
-			VecAllocsPerRow: vecAllocs,
-		}
-		if vecNs > 0 {
-			r.Speedup = rowNs / vecNs
-		}
-		if vecAllocs > 0 {
-			r.AllocRatio = rowAllocs / vecAllocs
-		}
-		results = append(results, r)
+		results = append(results, &PipelineResult{Workload: w.Name, Rows: opts.Rows, NsPerRow: ns, AllocsPerRow: allocs})
 	}
 	return results, nil
 }
@@ -211,13 +182,10 @@ func Pipeline(opts PipelineOptions) ([]*PipelineResult, error) {
 // docs/PERFORMANCE.md for how to read the columns.
 func FormatPipeline(results []*PipelineResult) string {
 	var b strings.Builder
-	b.WriteString("Pipeline: vectorized batch path vs row-at-a-time reference, per-op ns/row and allocs/row\n")
-	fmt.Fprintf(&b, "%-32s %6s %12s %12s %8s %14s %14s %8s\n",
-		"workload", "rows", "row ns/row", "vec ns/row", "speedup", "row allocs/row", "vec allocs/row", "ratio")
+	b.WriteString("Pipeline: per-op ns/row and allocs/row through StagePipeline.Apply\n")
+	fmt.Fprintf(&b, "%-32s %6s %10s %12s\n", "workload", "rows", "ns/row", "allocs/row")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-32s %6d %12.1f %12.1f %7.2fx %14.3f %14.3f %7.1fx\n",
-			r.Workload, r.Rows, r.RowNsPerRow, r.VecNsPerRow, r.Speedup,
-			r.RowAllocsPerRow, r.VecAllocsPerRow, r.AllocRatio)
+		fmt.Fprintf(&b, "%-32s %6d %10.1f %12.4f\n", r.Workload, r.Rows, r.NsPerRow, r.AllocsPerRow)
 	}
 	return b.String()
 }

@@ -95,7 +95,7 @@ func Spill(opts SpillOptions) ([]*SpillResult, error) {
 		}
 
 		g.SetBudget(0) // unlimited: the in-memory kernel
-		inMemNs, _, err := measurePath(part, opts.Target, pipe.ApplyRows)
+		inMemNs, _, err := measurePath(part, opts.Target, pipe.Apply)
 		if err != nil {
 			return nil, fmt.Errorf("spill %s (in-mem): %w", w.Name, err)
 		}
@@ -104,7 +104,7 @@ func Spill(opts SpillOptions) ([]*SpillResult, error) {
 		g.ResetHighWater()
 		eventsBefore := reg.CounterValue("engine_spills_total")
 		bytesBefore := reg.CounterValue("engine_spill_bytes_total")
-		spillNs, _, err := measurePath(part, opts.Target, pipe.ApplyRows)
+		spillNs, _, err := measurePath(part, opts.Target, pipe.Apply)
 		if err != nil {
 			return nil, fmt.Errorf("spill %s (governed): %w", w.Name, err)
 		}

@@ -16,6 +16,16 @@ import (
 	"ivnt/internal/telemetry"
 )
 
+const (
+	// maxSpeculation bounds speculative launches per task.
+	maxSpeculation = 2
+	// panicRetryLimit is how many contained executor panics one task
+	// tolerates before the driver quarantines it as poisoned and fails
+	// the stage with a diagnostic (a deterministic panic must not burn
+	// the whole retry budget executor by executor).
+	panicRetryLimit = 2
+)
+
 // Driver distributes engine stages across remote executors. It
 // implements engine.Executor, so every pipeline in the framework runs
 // unchanged either locally or on a cluster — the property the paper
@@ -66,13 +76,6 @@ type Driver struct {
 	// SpeculationInterval is how often the straggler monitor scans
 	// in-flight tasks. Default 25ms.
 	SpeculationInterval time.Duration
-	// MaxSpeculation bounds speculative launches per task. Default 2.
-	MaxSpeculation int
-	// PanicRetryLimit is how many contained executor panics one task
-	// tolerates before the driver quarantines it as poisoned and fails
-	// the stage with a diagnostic (a deterministic panic must not burn
-	// the whole retry budget executor by executor). Default 2.
-	PanicRetryLimit int
 	// AdmissionThreshold is the executor memory pressure (used/budget,
 	// reported in result frames) above which the driver defers further
 	// dispatch on that slot by AdmissionPause, letting the executor
@@ -284,20 +287,6 @@ func (d *Driver) speculationInterval() time.Duration {
 		return d.SpeculationInterval
 	}
 	return 25 * time.Millisecond
-}
-
-func (d *Driver) maxSpeculation() int {
-	if d.MaxSpeculation > 0 {
-		return d.MaxSpeculation
-	}
-	return 2
-}
-
-func (d *Driver) panicRetryLimit() int {
-	if d.PanicRetryLimit > 0 {
-		return d.PanicRetryLimit
-	}
-	return 2
 }
 
 func (d *Driver) admissionThreshold() float64 {

@@ -81,7 +81,7 @@ func TestPanicQuarantine(t *testing.T) {
 
 // TestClusterShuffleMapPanicIsPoisoned: shuffle map tasks run on the
 // same slot loop as stage tasks, so a map that panics on every attempt
-// is quarantined as poisoned at PanicRetryLimit, not retried through
+// is quarantined as poisoned at panicRetryLimit, not retried through
 // the whole MaxRetries budget.
 func TestClusterShuffleMapPanicIsPoisoned(t *testing.T) {
 	resetExecDebug(t)
@@ -115,12 +115,12 @@ func TestClusterShuffleMapPanicIsPoisoned(t *testing.T) {
 	if !strings.Contains(err.Error(), "poisoned") {
 		t.Fatalf("quarantine diagnostic missing, got: %v", err)
 	}
-	if n := runs.Load(); n != int64(drv.panicRetryLimit()) {
-		t.Fatalf("map ran %d time(s), want %d (PanicRetryLimit), not up to MaxRetries+1 = %d",
-			n, drv.panicRetryLimit(), drv.MaxRetries+1)
+	if n := runs.Load(); n != int64(panicRetryLimit) {
+		t.Fatalf("map ran %d time(s), want %d (panicRetryLimit), not up to MaxRetries+1 = %d",
+			n, panicRetryLimit, drv.MaxRetries+1)
 	}
-	if d := mTaskPanics.Value() - before; d != int64(drv.panicRetryLimit()) {
-		t.Fatalf("cluster_task_panics_total delta = %d, want %d", d, drv.panicRetryLimit())
+	if d := mTaskPanics.Value() - before; d != int64(panicRetryLimit) {
+		t.Fatalf("cluster_task_panics_total delta = %d, want %d", d, panicRetryLimit)
 	}
 
 	// The executors survive to run the next shuffle.

@@ -74,7 +74,7 @@ func (d *Driver) newTaskQueue(noun string, n int, run []int, stats *engine.Stats
 		noun:     noun,
 		retries:  d.retries(),
 		stats:    stats,
-		work:     make(chan int, n*(d.retries()+d.maxSpeculation()+2)),
+		work:     make(chan int, n*(d.retries()+maxSpeculation+2)),
 		pending:  len(run),
 		done:     make([]bool, n),
 		attempts: make([]int, n),
@@ -261,8 +261,8 @@ func (q *taskQueue) abandon(pi int, cause error, addr string) int {
 
 // speculate is the straggler monitor: any task whose oldest in-flight
 // copy has been running longer than factor× the median completed-task
-// duration (floored at min) is re-enqueued, up to maxPer copies.
-func (q *taskQueue) speculate(ctx context.Context, factor float64, min, interval time.Duration, maxPer int) {
+// duration (floored at min) is re-enqueued, up to maxSpeculation copies.
+func (q *taskQueue) speculate(ctx context.Context, factor float64, min, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -288,7 +288,7 @@ func (q *taskQueue) speculate(ctx context.Context, factor float64, min, interval
 		now := time.Now()
 		var launched []int
 		for pi, fl := range q.inflight {
-			if fl.n == 1 && !q.done[pi] && q.specs[pi] < maxPer && now.Sub(fl.start) > thr {
+			if fl.n == 1 && !q.done[pi] && q.specs[pi] < maxSpeculation && now.Sub(fl.start) > thr {
 				q.specs[pi]++
 				q.stats.Speculative.Add(1)
 				q.work <- pi
@@ -329,7 +329,7 @@ func (d *Driver) runQueue(ctx context.Context, q *taskQueue, send roundTrip, spe
 	defer cancel()
 	q.cancel = cancel
 	if f := d.speculationFactor(); speculate && f > 0 && !q.finished() {
-		go q.speculate(cctx, f, d.speculationMin(), d.speculationInterval(), d.maxSpeculation())
+		go q.speculate(cctx, f, d.speculationMin(), d.speculationInterval())
 	}
 	var wg sync.WaitGroup
 	for _, addr := range d.Addrs {
@@ -444,7 +444,7 @@ func (d *Driver) runSlot(ctx context.Context, l *link, q *taskQueue, send roundT
 				// of retries (it may be machine-local), but a task that
 				// panics everywhere is poisoned: quarantine it with a
 				// diagnostic instead of retrying forever.
-				if n := q.notePanic(pi); n >= d.panicRetryLimit() {
+				if n := q.notePanic(pi); n >= panicRetryLimit {
 					q.fail(fmt.Errorf("cluster: %s %d poisoned: %d contained panic(s), last on %s: %w",
 						q.noun, pi, n, addr, tf.taskErr))
 					return

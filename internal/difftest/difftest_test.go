@@ -15,15 +15,13 @@ var (
 	flagN    = flag.Int("difftest.n", 25, "number of seeded workloads to run")
 	flagSeed = flag.Int64("difftest.seed", 0, "replay exactly one workload seed (0 = run difftest.n seeds)")
 	flagBase = flag.Int64("difftest.base", 1, "first workload seed when difftest.seed is 0")
-	flagVec  = flag.Bool("difftest.vectorize", true, "run executors on the vectorized engine path (set false to replay a failure on the row-at-a-time path)")
 )
 
 // TestDifferential is the main differential run: every seeded workload
 // executes on the oracle, the local executor and a real TCP cluster,
 // and is then pushed through the five metamorphic invariants. Any
 // mismatch prints a seed + op-tree report; replay a failure with
-// -difftest.seed=<seed>, and flip -difftest.vectorize to bisect
-// whether it lives in the vectorized kernels or the shared row logic.
+// -difftest.seed=<seed>.
 func TestDifferential(t *testing.T) {
 	if *flagShuffle {
 		t.Skip("-difftest.shuffle: running only the shuffle invariants (TestShuffleDifferential)")
@@ -31,9 +29,6 @@ func TestDifferential(t *testing.T) {
 	if *flagScan {
 		t.Skip("-difftest.scan: running only the segment-scan invariants (TestScanDifferential)")
 	}
-	prev := engine.Vectorize.Load()
-	engine.Vectorize.Store(*flagVec)
-	defer engine.Vectorize.Store(prev)
 	armBudget(t) // -difftest.membudget forces the run under a governor budget
 
 	ctx := context.Background()
@@ -177,7 +172,7 @@ func TestDifferentialCatchesInjectedDedupBug(t *testing.T) {
 // guards the vectorized kernels themselves: a selection-vector bug
 // injected through engine.DebugMutateSelection (each fused filter
 // batch silently drops its last surviving row) must be caught by the
-// oracle-vs-ApplyVectorized comparison with a readable seed + op-tree
+// oracle-vs-pipeline comparison with a readable seed + op-tree
 // report. This is the acceptance criterion for the engine-path
 // invariant added to CheckWorkload.
 func TestDifferentialCatchesInjectedFusionBug(t *testing.T) {
@@ -203,16 +198,10 @@ func TestDifferentialCatchesInjectedFusionBug(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
-		rel := w.rel(3)
-		parts := make([][]relation.Row, len(rel.Partitions))
-		for pi, part := range rel.Partitions {
-			rows, err := pipe.ApplyVectorized(part)
-			if err != nil {
-				t.Fatalf("seed %d: vectorized: %v", seed, err)
-			}
-			parts[pi] = rows
+		got, err := applyStage(pipe, w.rel(3))
+		if err != nil {
+			t.Fatalf("seed %d: pipeline: %v", seed, err)
 		}
-		got := &relation.Relation{Schema: pipe.OutputSchema(), Partitions: parts}
 		d := DiffExact(ref, got)
 		if d == "" {
 			continue

@@ -88,6 +88,20 @@ func (w *Workload) shuffledRel(nparts int) *relation.Relation {
 	return relation.FromRows(w.Schema, rows).Repartition(nparts)
 }
 
+// applyStage runs a compiled pipeline over every partition of in, with
+// no executor in between.
+func applyStage(pipe *engine.StagePipeline, in *relation.Relation) (*relation.Relation, error) {
+	parts := make([][]relation.Row, len(in.Partitions))
+	for pi, part := range in.Partitions {
+		rows, err := pipe.Apply(part)
+		if err != nil {
+			return nil, err
+		}
+		parts[pi] = rows
+	}
+	return &relation.Relation{Schema: pipe.OutputSchema(), Partitions: parts}, nil
+}
+
 // reduce collapses an executor result to a partitioning-independent
 // relation: plans ending in a partial aggregation are merged (the
 // driver-side combine), everything else passes through.
@@ -148,33 +162,17 @@ func (e *Env) CheckWorkload(ctx context.Context, w *Workload) []string {
 		fail("local", d)
 	}
 
-	// Engine-path invariant: the row-at-a-time reference path and the
-	// vectorized batch path are both held bitwise-equal to the oracle,
-	// regardless of where the process-wide Vectorize toggle happens to
-	// point. This is the third differential subject — it pins the fused
-	// kernels, the selection-vector compaction and the slab
-	// materialization directly, without an executor in between.
+	// Engine-path invariant: the compiled pipeline, applied partition
+	// by partition, is held bitwise-equal to the oracle. This is the
+	// third differential subject — it pins the fused kernels, the
+	// selection-vector compaction and the slab materialization
+	// directly, without an executor in between.
 	if pipe, err := engine.NewStagePipeline(w.Schema, w.Ops); err != nil {
 		fail("engine-compile", err.Error())
-	} else {
-		in := w.rel(nparts)
-		runPath := func(name string, apply func([]relation.Row) ([]relation.Row, error)) {
-			parts := make([][]relation.Row, len(in.Partitions))
-			for pi, part := range in.Partitions {
-				rows, err := apply(part)
-				if err != nil {
-					fail(name, err.Error())
-					return
-				}
-				parts[pi] = rows
-			}
-			got := &relation.Relation{Schema: pipe.OutputSchema(), Partitions: parts}
-			if d := DiffExact(ref, got); d != "" {
-				fail(name, d)
-			}
-		}
-		runPath("row-path", pipe.ApplyRows)
-		runPath("vectorized", pipe.ApplyVectorized)
+	} else if got, err := applyStage(pipe, w.rel(nparts)); err != nil {
+		fail("pipeline", err.Error())
+	} else if d := DiffExact(ref, got); d != "" {
+		fail("pipeline", d)
 	}
 
 	// Oracle vs real TCP cluster.

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"testing"
 
-	"ivnt/internal/engine"
 	"ivnt/internal/memgov"
 	"ivnt/internal/telemetry"
 )
@@ -37,7 +36,7 @@ func spillTotal() int64 {
 
 // TestDifferentialSpill is the always-on spill acceptance run: seeded
 // workloads execute under a 4KiB budget — low enough that every sort
-// and aggregation takes the external path, on both engine paths — and
+// and aggregation takes the external path — and
 // the oracle/local/cluster outputs must stay bitwise identical to the
 // ungoverned semantics the oracle defines. A counter delta proves the
 // degraded paths actually ran rather than the budget being ignored.
@@ -46,9 +45,6 @@ func TestDifferentialSpill(t *testing.T) {
 	old := g.Budget()
 	g.SetBudget(4 << 10)
 	defer g.SetBudget(old)
-
-	prev := engine.Vectorize.Load()
-	defer engine.Vectorize.Store(prev)
 
 	ctx := context.Background()
 	env, err := NewEnv(ctx)
@@ -59,17 +55,14 @@ func TestDifferentialSpill(t *testing.T) {
 
 	before := spillTotal()
 	failures := 0
-	for _, vec := range []bool{false, true} {
-		engine.Vectorize.Store(vec)
-		for seed := int64(1); seed <= 8; seed++ {
-			w := Generate(seed)
-			for _, rep := range env.CheckWorkload(ctx, w) {
-				t.Errorf("vectorize=%v:\n%s", vec, rep)
-				failures++
-			}
-			if failures >= 3 {
-				t.Fatalf("stopping after %d mismatches", failures)
-			}
+	for seed := int64(1); seed <= 8; seed++ {
+		w := Generate(seed)
+		for _, rep := range env.CheckWorkload(ctx, w) {
+			t.Errorf("%s", rep)
+			failures++
+		}
+		if failures >= 3 {
+			t.Fatalf("stopping after %d mismatches", failures)
 		}
 	}
 	if d := spillTotal() - before; d == 0 {

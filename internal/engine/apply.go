@@ -8,21 +8,22 @@ import (
 )
 
 // StagePipeline is a validated chain of narrow operators bound to an
-// input schema. Building one compiles all static expressions once;
-// Apply then runs the chain over one partition. A pipeline is safe for
-// concurrent Apply calls from multiple workers.
+// input schema. Building one compiles all static expressions once and
+// plans the chain into batch kernels (vectorize.go); Apply and
+// ApplyContained then run it over one partition. A pipeline is safe
+// for concurrent calls from multiple workers.
 type StagePipeline struct {
 	in    relation.Schema
 	out   relation.Schema
 	steps []compiledOp
-	vec   []vecSegment // vectorized execution plan (see vectorize.go)
+	vec   []vecSegment // execution plan (see vectorize.go)
 }
 
 type compiledOp struct {
 	desc OpDesc
 	in   relation.Schema // input schema of this step
 	out  relation.Schema
-	prog *expr.Program // OpFilter, OpAddColumn
+	prog *expr.FlatProgram // OpFilter, OpAddColumn
 	// broadcast hash table for OpBroadcastJoin
 	hash     map[uint64]*joinBucket
 	rightIdx []int // key column indexes in the broadcast table
@@ -55,10 +56,11 @@ func NewStagePipeline(in relation.Schema, ops []OpDesc) (*StagePipeline, error) 
 		}
 		st := compiledOp{desc: op, in: cur, out: next, ruleIdx: -1}
 		switch op.Kind {
-		case OpFilter:
-			st.prog, err = expr.Compile(op.Expr, cur)
-		case OpAddColumn:
-			st.prog, err = expr.Compile(op.Expr, cur)
+		case OpFilter, OpAddColumn:
+			var prog *expr.Program
+			if prog, err = expr.Compile(op.Expr, cur); err == nil {
+				st.prog = prog.Flatten()
+			}
 		case OpEvalRule:
 			st.ruleIdx = cur.MustIndex(op.RuleCol)
 			st.rules = newRuleCache(cur)
@@ -159,109 +161,19 @@ func (p *StagePipeline) InputSchema() relation.Schema { return p.in }
 func (p *StagePipeline) OutputSchema() relation.Schema { return p.out }
 
 // Apply runs the pipeline over one partition and returns the produced
-// rows, on the vectorized path unless the Vectorize toggle is off. The
+// rows. It is unobserved, for tests and benchmarks that must not
+// measure clock reads; executors run tasks through ApplyContained. The
 // input slice is never mutated.
 func (p *StagePipeline) Apply(part []relation.Row) ([]relation.Row, error) {
-	if Vectorize.Load() {
-		return p.applyVec(part, false)
-	}
-	return p.ApplyRows(part)
+	return p.run(part, false)
 }
 
-// ApplyRows runs the pipeline row-at-a-time regardless of the
-// Vectorize toggle. This is the reference path the differential
-// harness holds the vectorized path bitwise-equal to.
-func (p *StagePipeline) ApplyRows(part []relation.Row) ([]relation.Row, error) {
-	rows := part
-	for i := range p.steps {
-		var err error
-		rows, err = p.steps[i].apply(rows)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
+// apply runs one of the whole-partition kernels: dedup, the governed
+// sort and partial aggregation, and the shuffle exchange. Every other
+// operator has a batch kernel (applyVecSingle) or runs inside a fused
+// run.
 func (st *compiledOp) apply(rows []relation.Row) ([]relation.Row, error) {
 	switch st.desc.Kind {
-	case OpFilter:
-		out := make([]relation.Row, 0, len(rows))
-		env := &expr.RowEnv{Rows: rows}
-		for i := range rows {
-			env.Idx = i
-			if st.prog.EvalBool(env) {
-				out = append(out, rows[i])
-			}
-		}
-		return out, nil
-
-	case OpProject:
-		out := make([]relation.Row, len(rows))
-		for i, r := range rows {
-			nr := make(relation.Row, len(st.colIdx))
-			for k, ci := range st.colIdx {
-				nr[k] = r[ci]
-			}
-			out[i] = nr
-		}
-		return out, nil
-
-	case OpAddColumn:
-		out := make([]relation.Row, len(rows))
-		env := &expr.RowEnv{Rows: rows}
-		for i, r := range rows {
-			env.Idx = i
-			nr := make(relation.Row, len(r)+1)
-			copy(nr, r)
-			nr[len(r)] = st.prog.Eval(env)
-			out[i] = nr
-		}
-		return out, nil
-
-	case OpEvalRule:
-		out := make([]relation.Row, len(rows))
-		env := &expr.RowEnv{Rows: rows}
-		for i, r := range rows {
-			env.Idx = i
-			var v relation.Value
-			src := r[st.ruleIdx].AsString()
-			if src != "" {
-				prog, err := st.rules.get(src)
-				if err != nil {
-					return nil, fmt.Errorf("engine: row rule %q: %w", src, err)
-				}
-				v = prog.Eval(env)
-			}
-			nr := make(relation.Row, len(r)+1)
-			copy(nr, r)
-			nr[len(r)] = v
-			out[i] = nr
-		}
-		return out, nil
-
-	case OpBroadcastJoin:
-		var out []relation.Row
-		for _, r := range rows {
-			h := r.Hash(st.leftIdx...)
-			b := st.hash[h]
-			if b == nil {
-				continue
-			}
-			for _, cand := range b.rows {
-				if !keysEqual(r, cand, st.leftIdx, st.rightIdx) {
-					continue
-				}
-				nr := make(relation.Row, len(r)+len(st.keepIdx))
-				copy(nr, r)
-				for k, ci := range st.keepIdx {
-					nr[len(r)+k] = cand[ci]
-				}
-				out = append(out, nr)
-			}
-		}
-		return out, nil
-
 	case OpDedupConsecutive:
 		out := make([]relation.Row, 0, len(rows))
 		for i, r := range rows {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ivnt/internal/relation"
 	"ivnt/internal/telemetry"
 )
 
@@ -35,10 +34,10 @@ var (
 	stagesVec = telemetry.Default().CounterVec(
 		"engine_stages_total", "Stage executions.", "executor")
 
-	// vectorizedBatchesCtr counts batches processed by the vectorized
+	// vectorizedBatchesCtr counts batches processed by the batch
 	// kernels (fused runs, the batch join, and the whole-partition
 	// window/rule kernels). The cluster tests read it to prove remote
-	// executors run the vectorized path.
+	// executors run them.
 	vectorizedBatchesCtr = telemetry.Default().Counter(
 		"engine_vectorized_batches_total",
 		"Row batches processed by the vectorized execution kernels.")
@@ -177,29 +176,6 @@ func VerifySpillMetrics() error {
 	return nil
 }
 
-// ApplyInstrumented runs the pipeline over one partition exactly like
-// Apply while timing each operator into engine_op_seconds. Executors
-// use this; Apply stays unobserved for the differential oracle and for
-// microbenchmarks that must not measure clock reads. On the vectorized
-// path a fused run is one timed pass: each constituent operator kind
-// is observed with the run's duration.
-func (p *StagePipeline) ApplyInstrumented(part []relation.Row) ([]relation.Row, error) {
-	if Vectorize.Load() {
-		return p.applyVec(part, true)
-	}
-	rows := part
-	for i := range p.steps {
-		t0 := time.Now()
-		out, err := p.steps[i].apply(rows)
-		ObserveOp(p.steps[i].desc.Kind, time.Since(t0))
-		if err != nil {
-			return nil, err
-		}
-		rows = out
-	}
-	return rows, nil
-}
-
 // StatsCollector accumulates one stage run's Stats through atomics, so
 // any number of worker goroutines, connection slots, and concurrent
 // snapshot readers can touch it without a lock. Snapshot assembles the
@@ -223,17 +199,17 @@ func NewStatsCollector() *StatsCollector { return &StatsCollector{} }
 // while writers are active; each field is individually consistent.
 func (c *StatsCollector) Snapshot() Stats {
 	return Stats{
-		RowsIn:        int(c.RowsIn.Load()),
-		RowsOut:       int(c.RowsOut.Load()),
-		Partitions:    int(c.Partitions.Load()),
-		Wall:          time.Duration(c.WallNs.Load()),
-		Tasks:         int(c.Tasks.Load()),
-		Retries:       int(c.Retries.Load()),
-		Reconnects:    int(c.Reconnects.Load()),
-		Speculative:   int(c.Speculative.Load()),
-		DeadlineHits:  int(c.DeadlineHits.Load()),
-		BytesSent:     c.BytesSent.Load(),
-		BytesRecv:     c.BytesRecv.Load(),
+		RowsIn:             int(c.RowsIn.Load()),
+		RowsOut:            int(c.RowsOut.Load()),
+		Partitions:         int(c.Partitions.Load()),
+		Wall:               time.Duration(c.WallNs.Load()),
+		Tasks:              int(c.Tasks.Load()),
+		Retries:            int(c.Retries.Load()),
+		Reconnects:         int(c.Reconnects.Load()),
+		Speculative:        int(c.Speculative.Load()),
+		DeadlineHits:       int(c.DeadlineHits.Load()),
+		BytesSent:          c.BytesSent.Load(),
+		BytesRecv:          c.BytesRecv.Load(),
 		StagesShipped:      int(c.StagesShipped.Load()),
 		EncodeWall:         time.Duration(c.EncodeNs.Load()),
 		DecodeWall:         time.Duration(c.DecodeNs.Load()),

@@ -308,14 +308,14 @@ type ruleCache struct {
 
 type ruleShard struct {
 	mu    sync.RWMutex
-	progs map[string]*expr.Program
+	progs map[string]*expr.FlatProgram
 	errs  map[string]error
 }
 
 func newRuleCache(s relation.Schema) *ruleCache {
 	c := &ruleCache{schema: s}
 	for i := range c.shards {
-		c.shards[i].progs = map[string]*expr.Program{}
+		c.shards[i].progs = map[string]*expr.FlatProgram{}
 		c.shards[i].errs = map[string]error{}
 	}
 	return c
@@ -330,7 +330,7 @@ func (c *ruleCache) shardFor(src string) *ruleShard {
 	return &c.shards[h%ruleShardCount]
 }
 
-func (c *ruleCache) get(src string) (*expr.Program, error) {
+func (c *ruleCache) get(src string) (*expr.FlatProgram, error) {
 	sh := c.shardFor(src)
 	sh.mu.RLock()
 	p, okP := sh.progs[src]
@@ -350,11 +350,12 @@ func (c *ruleCache) get(src string) (*expr.Program, error) {
 	if err, ok := sh.errs[src]; ok {
 		return nil, err
 	}
-	p, err = expr.Compile(src, c.schema)
+	prog, err := expr.Compile(src, c.schema)
 	if err != nil {
 		sh.errs[src] = err
 		return nil, err
 	}
+	p = prog.Flatten()
 	sh.progs[src] = p
 	return p, nil
 }

@@ -1,8 +1,8 @@
 // Shuffle exchange kernels: the engine-side half of the hash-partitioned
 // shuffle (docs/SHUFFLE.md). OpShuffleExchange is a narrow operator —
 // it reorders one partition's rows into contiguous runs grouped by
-// ascending key-hash bucket — so the oracle, the row path and the
-// vectorized path can all be held bitwise equal on it. The cluster
+// ascending key-hash bucket — so the oracle and the pipeline can be
+// held bitwise equal on it. The cluster
 // layer (internal/cluster) builds the wide exchange on top: map tasks
 // run a pipeline ending in this split, then stream each bucket to the
 // executor that owns the corresponding output partition.

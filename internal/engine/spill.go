@@ -91,10 +91,11 @@ func IsPanic(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// ApplyContained runs the pipeline with panic containment: a panic in
-// any operator (or injected via SetDebugApplyHook) comes back as a
-// *PanicError instead of unwinding past the executor's task loop. Both
-// executors run tasks through this entry point.
+// ApplyContained runs the pipeline like Apply, timing each operator into
+// engine_op_seconds, with panic containment: a panic in any operator
+// (or injected via SetDebugApplyHook) comes back as a *PanicError
+// instead of unwinding past the executor's task loop. Both executors
+// run tasks through this entry point.
 func (p *StagePipeline) ApplyContained(part []relation.Row) (out []relation.Row, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -104,7 +105,7 @@ func (p *StagePipeline) ApplyContained(part []relation.Row) (out []relation.Row,
 	if f := debugApplyHook.Load(); f != nil {
 		(*f)()
 	}
-	return p.ApplyInstrumented(part)
+	return p.run(part, true)
 }
 
 // --------------------------------------------------------------- debug hooks
@@ -385,8 +386,8 @@ func (h *mergeHeap) Less(i, j int) bool {
 	}
 	return h.cs[i].idx < h.cs[j].idx
 }
-func (h *mergeHeap) Swap(i, j int)      { h.cs[i], h.cs[j] = h.cs[j], h.cs[i] }
-func (h *mergeHeap) Push(x any)         { h.cs = append(h.cs, x.(*mergeCursor)) }
+func (h *mergeHeap) Swap(i, j int) { h.cs[i], h.cs[j] = h.cs[j], h.cs[i] }
+func (h *mergeHeap) Push(x any)    { h.cs = append(h.cs, x.(*mergeCursor)) }
 func (h *mergeHeap) Pop() any {
 	c := h.cs[len(h.cs)-1]
 	h.cs = h.cs[:len(h.cs)-1]

@@ -131,7 +131,7 @@ func aggPipe(t *testing.T) *StagePipeline {
 func TestSpillSortBitwiseEqual(t *testing.T) {
 	rows := spillRows(4001)
 	pipe := sortPipe(t, "mid", "bid")
-	want, err := pipe.ApplyRows(rows)
+	want, err := pipe.Apply(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSpillSortBitwiseEqual(t *testing.T) {
 		resetSpillDebug(t)
 		before := mSpills.With("sortwithin").Value()
 		DebugForceSpill.Store(true)
-		got, err := pipe.ApplyRows(rows)
+		got, err := pipe.Apply(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestSpillSortBitwiseEqual(t *testing.T) {
 		resetSpillDebug(t)
 		g := withBudget(t, 16<<10)
 		beforeBytes := mSpillBytes.With("sortwithin").Value()
-		got, err := pipe.ApplyRows(rows)
+		got, err := pipe.Apply(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,12 +176,12 @@ func TestSpillSortEdgeShapes(t *testing.T) {
 	pipe := sortPipe(t, "mid", "t")
 	for _, n := range []int{0, 1, 2, 17} {
 		rows := spillRows(n)
-		got, err := pipe.ApplyRows(rows)
+		got, err := pipe.Apply(rows)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		DebugForceSpill.Store(false)
-		want, err := pipe.ApplyRows(rows)
+		want, err := pipe.Apply(rows)
 		DebugForceSpill.Store(true)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +196,7 @@ func TestSpillSortEdgeShapes(t *testing.T) {
 func TestSpillAggBitwiseEqual(t *testing.T) {
 	rows := spillRows(3000)
 	pipe := aggPipe(t)
-	want, err := pipe.ApplyRows(rows)
+	want, err := pipe.Apply(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSpillAggBitwiseEqual(t *testing.T) {
 		resetSpillDebug(t)
 		before := mSpills.With("partialagg").Value()
 		DebugForceSpill.Store(true)
-		got, err := pipe.ApplyRows(rows)
+		got, err := pipe.Apply(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,39 +218,12 @@ func TestSpillAggBitwiseEqual(t *testing.T) {
 	t.Run("tiny-budget", func(t *testing.T) {
 		resetSpillDebug(t)
 		withBudget(t, 16<<10)
-		got, err := pipe.ApplyRows(rows)
+		got, err := pipe.Apply(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rowsEq(t, "tiny-budget agg", want, got)
 	})
-}
-
-// TestSpillVectorizedPathEqual runs the same governed kernels through
-// Apply with the vectorized planner on and off: applyVecSingle routes
-// sort/agg to the row kernels, so the spill paths must be identical.
-func TestSpillVectorizedPathEqual(t *testing.T) {
-	resetSpillDebug(t)
-	rows := spillRows(2000)
-	old := Vectorize.Load()
-	t.Cleanup(func() { Vectorize.Store(old) })
-
-	for _, pipe := range []*StagePipeline{sortPipe(t, "mid", "bid"), aggPipe(t)} {
-		want, err := pipe.ApplyRows(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		DebugForceSpill.Store(true)
-		for _, vec := range []bool{false, true} {
-			Vectorize.Store(vec)
-			got, err := pipe.Apply(rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowsEq(t, fmt.Sprintf("vectorize=%v", vec), want, got)
-		}
-		DebugForceSpill.Store(false)
-	}
 }
 
 // TestMergePartialsSpillEqual drives the governed FinalAggregate merge
@@ -328,7 +301,7 @@ func TestSpillBudgetBoundary(t *testing.T) {
 	rows := spillRows(512)
 	need := RowsFootprint(rows)
 	pipe := sortPipe(t, "mid")
-	want, err := pipe.ApplyRows(rows)
+	want, err := pipe.Apply(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +309,7 @@ func TestSpillBudgetBoundary(t *testing.T) {
 	t.Run("exact-fit", func(t *testing.T) {
 		withBudget(t, need)
 		before := mSpills.With("sortwithin").Value()
-		got, err := pipe.ApplyRows(rows)
+		got, err := pipe.Apply(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +322,7 @@ func TestSpillBudgetBoundary(t *testing.T) {
 	t.Run("one-byte-short", func(t *testing.T) {
 		withBudget(t, need-1)
 		before := mSpills.With("sortwithin").Value()
-		got, err := pipe.ApplyRows(rows)
+		got, err := pipe.Apply(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,11 +348,11 @@ func TestSpillBoundedWorkingSet(t *testing.T) {
 
 	sp := sortPipe(t, "mid", "bid")
 	ap := aggPipe(t)
-	wantSort, err := sp.ApplyRows(rows)
+	wantSort, err := sp.Apply(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAgg, err := ap.ApplyRows(rows)
+	wantAgg, err := ap.Apply(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +360,7 @@ func TestSpillBoundedWorkingSet(t *testing.T) {
 	g := withBudget(t, budget)
 
 	g.ResetHighWater()
-	gotSort, err := sp.ApplyRows(rows)
+	gotSort, err := sp.Apply(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +375,7 @@ func TestSpillBoundedWorkingSet(t *testing.T) {
 	// bound is a small multiple of the budget — still far below the 4x
 	// working set that an ungoverned pass would pin.
 	g.ResetHighWater()
-	gotAgg, err := ap.ApplyRows(rows)
+	gotAgg, err := ap.Apply(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +391,7 @@ func TestSpillBoundedWorkingSet(t *testing.T) {
 func TestSpillFaultInjection(t *testing.T) {
 	rows := spillRows(600)
 	pipe := sortPipe(t, "mid")
-	want, err := pipe.ApplyRows(rows)
+	want, err := pipe.Apply(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +406,7 @@ func TestSpillFaultInjection(t *testing.T) {
 				}
 				return nil
 			})
-			_, err := pipe.ApplyRows(rows)
+			_, err := pipe.Apply(rows)
 			if err == nil {
 				t.Fatalf("spill %s fault produced no error", op)
 			}
@@ -457,12 +430,12 @@ func TestSpillFaultInjection(t *testing.T) {
 			}
 			return nil
 		})
-		if _, err := pipe.ApplyRows(rows); !IsRetryable(err) {
+		if _, err := pipe.Apply(rows); !IsRetryable(err) {
 			t.Fatalf("first attempt: %v, want retryable", err)
 		}
 		// The "disk" recovers; the retried task must now succeed — the
 		// requeue contract the cluster driver builds on.
-		got, err := pipe.ApplyRows(rows)
+		got, err := pipe.Apply(rows)
 		if err != nil {
 			t.Fatalf("retry after fault cleared: %v", err)
 		}
@@ -473,7 +446,7 @@ func TestSpillFaultInjection(t *testing.T) {
 		resetSpillDebug(t)
 		DebugForceSpill.Store(true)
 		SetDebugSpillTruncate(5)
-		_, err := pipe.ApplyRows(rows)
+		_, err := pipe.Apply(rows)
 		if err == nil || !IsRetryable(err) {
 			t.Fatalf("truncated spill run: err = %v, want retryable", err)
 		}

@@ -5,35 +5,24 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ivnt/internal/expr"
 	"ivnt/internal/relation"
 )
 
-// This file is the vectorized batch execution path. Instead of walking
-// one row at a time through each operator — a recursive expression
-// interpretation and a fresh row allocation per operator per row — the
-// pipeline is planned once into segments: maximal runs of fusable
-// window-free Filter/Project/AddColumn steps execute as a single pass
-// over 1024-row batches with a selection vector, materializing output
-// rows exactly once per fused run out of a shared slab, and the
-// remaining operators get batch-aware kernels (notably the broadcast
-// join, which pre-hashes probe keys per batch and skips per-candidate
-// key re-checks on single-key buckets). The row-at-a-time path stays
-// behind ApplyRows as the bit-exact reference; internal/difftest holds
-// the two to bitwise equality on every seeded workload.
-
-// Vectorize selects the execution path used by Apply and
-// ApplyInstrumented on every executor. Default on; flip off to fall
-// back to the row-at-a-time reference path (the differential harness
-// and benchmarks exercise both explicitly).
-var Vectorize atomic.Bool
-
-func init() {
-	Vectorize.Store(true)
-}
+// This file is the batch execution path, the only way a StagePipeline
+// runs. Instead of walking one row at a time through each operator — a
+// recursive expression interpretation and a fresh row allocation per
+// operator per row — the pipeline is planned once into segments:
+// maximal runs of fusable window-free Filter/Project/AddColumn steps
+// execute as a single pass over 1024-row batches with a selection
+// vector, materializing output rows exactly once per fused run out of a
+// shared slab, and the remaining operators get batch-aware kernels
+// (notably the broadcast join, which pre-hashes probe keys per batch
+// and skips per-candidate key re-checks on single-key buckets). The
+// row-at-a-time reference is internal/oracle; internal/difftest holds
+// the pipeline bitwise-equal to it on every seeded workload.
 
 // batchSize is the number of input rows processed per fused batch.
 // 1024 rows keeps a batch's selection vector and scratch columns in
@@ -106,7 +95,7 @@ func fusable(st *compiledOp) bool {
 	case OpProject:
 		return true
 	case OpFilter, OpAddColumn:
-		return !st.prog.UsesWindow()
+		return !st.prog.Window
 	}
 	return false
 }
@@ -150,11 +139,11 @@ func (p *StagePipeline) compileFusedRun(stepIdx []int) *fusedRun {
 		run.kinds = append(run.kinds, st.desc.Kind)
 		switch st.desc.Kind {
 		case OpFilter:
-			remapped := st.prog.Flatten().RemapColumns(func(c int) int { return int(cur[c]) })
+			remapped := st.prog.RemapColumns(func(c int) int { return int(cur[c]) })
 			run.steps = append(run.steps, fusedStep{kind: OpFilter, prog: remapped, dst: -1,
 				skipCols: skipColumns(remapped, run.inWidth)})
 		case OpAddColumn:
-			remapped := st.prog.Flatten().RemapColumns(func(c int) int { return int(cur[c]) })
+			remapped := st.prog.RemapColumns(func(c int) int { return int(cur[c]) })
 			slot := run.nScratch
 			run.nScratch++
 			run.steps = append(run.steps, fusedStep{kind: OpAddColumn, prog: remapped, dst: slot})
@@ -220,14 +209,11 @@ func cellsSameBits(a, b relation.Row, cols []int32) bool {
 	return true
 }
 
-// ApplyVectorized runs the pipeline over one partition on the
-// vectorized path regardless of the Vectorize toggle. The input slice
-// is never mutated.
-func (p *StagePipeline) ApplyVectorized(part []relation.Row) ([]relation.Row, error) {
-	return p.applyVec(part, false)
-}
-
-func (p *StagePipeline) applyVec(part []relation.Row, instrument bool) ([]relation.Row, error) {
+// run executes the planned segments over one partition. With
+// instrument set, each segment is timed into engine_op_seconds; a fused
+// run is one timed pass, so each constituent operator kind is observed
+// with the run's duration.
+func (p *StagePipeline) run(part []relation.Row, instrument bool) ([]relation.Row, error) {
 	sc := vecPool.Get().(*vecScratch)
 	defer vecPool.Put(sc)
 	rows := part
@@ -262,16 +248,17 @@ func (p *StagePipeline) applyVec(part []relation.Row, instrument bool) ([]relati
 }
 
 // applyVecSingle dispatches one non-fused operator to its batch-aware
-// kernel, falling back to the row kernel for operators whose work is
-// inherently whole-partition (dedup, sort, partial agg).
+// kernel, falling through to compiledOp.apply for operators whose work
+// is inherently whole-partition (dedup, sort, partial agg, shuffle
+// exchange).
 func (st *compiledOp) applyVecSingle(rows []relation.Row, sc *vecScratch) ([]relation.Row, error) {
 	switch st.desc.Kind {
 	case OpBroadcastJoin:
 		return st.applyJoinVec(rows, sc), nil
 	case OpFilter:
-		return applyWindowFilter(st.prog.Flatten(), rows, sc), nil
+		return applyWindowFilter(st.prog, rows, sc), nil
 	case OpAddColumn:
-		return applyWindowAddCol(st.prog.Flatten(), rows, sc), nil
+		return applyWindowAddCol(st.prog, rows, sc), nil
 	case OpEvalRule:
 		return st.applyEvalRuleVec(rows, sc)
 	}
@@ -498,7 +485,7 @@ func (st *compiledOp) applyEvalRuleVec(rows []relation.Row, sc *vecScratch) ([]r
 			if err != nil {
 				return nil, fmt.Errorf("engine: row rule %q: %w", src, err)
 			}
-			v = sc.machine.EvalAt(prog.Flatten(), rows, i)
+			v = sc.machine.EvalAt(prog, rows, i)
 		}
 		nr := sl.next()
 		copy(nr, r)

@@ -7,11 +7,10 @@ import (
 	"ivnt/internal/relation"
 )
 
-// The acceptance bar for the vectorized path is set against these
-// benches: the fused Filter→Project→AddColumn workload must run at
-// ≥2x fewer ns/row and ≥4x fewer allocs/row than the row path.
-// cmd/benchmark -exp pipeline records the same workloads into the
-// "pipeline" section of BENCH_engine.json.
+// Micro-benchmarks of the batch kernels on the fused
+// Filter→Project→AddColumn workload and the broadcast join.
+// cmd/benchmark -exp pipeline records the same kinds of workloads into
+// the "pipeline" section of BENCH_engine.json.
 
 func benchPipeline(b *testing.B, ops []OpDesc) *StagePipeline {
 	b.Helper()
@@ -31,37 +30,13 @@ func fusedBenchOps() []OpDesc {
 	}
 }
 
-func BenchmarkFusedPipelineRows(b *testing.B) {
-	pipe := benchPipeline(b, fusedBenchOps())
-	part := vecTestRows(8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipe.ApplyRows(part); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFusedPipelineVec(b *testing.B) {
 	pipe := benchPipeline(b, fusedBenchOps())
 	part := vecTestRows(8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipe.ApplyVectorized(part); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBroadcastJoinRows(b *testing.B) {
-	pipe := benchPipeline(b, []OpDesc{BroadcastJoin(vecJoinTable(), []string{"mid"}, []string{"rmid"})})
-	part := vecTestRows(8192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipe.ApplyRows(part); err != nil {
+		if _, err := pipe.Apply(part); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,7 +48,7 @@ func BenchmarkBroadcastJoinVec(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipe.ApplyVectorized(part); err != nil {
+		if _, err := pipe.Apply(part); err != nil {
 			b.Fatal(err)
 		}
 	}

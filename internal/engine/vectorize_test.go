@@ -113,36 +113,6 @@ func rowsBitEqual(a, b []relation.Row) bool {
 	return true
 }
 
-// TestVectorizedMatchesRows is the engine-local differential check:
-// every pipeline shape must produce bitwise-identical output on the
-// vectorized and row-at-a-time paths, including partition sizes that
-// are empty, smaller than a batch, and spanning several batches.
-func TestVectorizedMatchesRows(t *testing.T) {
-	sch := vecTestSchema()
-	for name, ops := range vecPipelines() {
-		t.Run(name, func(t *testing.T) {
-			pipe, err := NewStagePipeline(sch, ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range []int{0, 1, 17, batchSize, batchSize + 1, 2*batchSize + 331} {
-				part := vecTestRows(n)
-				want, err := pipe.ApplyRows(part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := pipe.ApplyVectorized(part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rowsBitEqual(got, want) {
-					t.Fatalf("n=%d: vectorized output diverges from row path (%d vs %d rows)", n, len(got), len(want))
-				}
-			}
-		})
-	}
-}
-
 // TestVecPlanShapes pins the planner's fusion decisions: window-free
 // Filter/Project/AddColumn runs fuse, window programs and the
 // remaining operators stay single segments.
@@ -181,7 +151,7 @@ func TestVecPlanShapes(t *testing.T) {
 // contract: a fused run with any Project/AddColumn builds fresh
 // slab-backed rows (mutating input afterwards must not leak through),
 // while a filters-only run passes input row references exactly like
-// the row path does.
+// the oracle's filter does.
 func TestFusedRunMaterializesOnce(t *testing.T) {
 	sch := vecTestSchema()
 	part := vecTestRows(100)
@@ -190,7 +160,7 @@ func TestFusedRunMaterializesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pipe.ApplyVectorized(part)
+	out, err := pipe.Apply(part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,41 +172,12 @@ func TestFusedRunMaterializesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = filt.ApplyVectorized(part)
+	out, err = filt.Apply(part)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(part) || &out[0][0] != &part[0][0] {
 		t.Fatal("filters-only fused run should pass through input row references")
-	}
-}
-
-// TestVectorizeToggle checks Apply and ApplyInstrumented honor the
-// global toggle both ways.
-func TestVectorizeToggle(t *testing.T) {
-	sch := vecTestSchema()
-	pipe, err := NewStagePipeline(sch, []OpDesc{Filter("mid != 2"), AddColumn("b0", relation.KindInt, "byteat(l, 0)")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := vecTestRows(500)
-	if !Vectorize.Load() {
-		t.Fatal("Vectorize must default on")
-	}
-	defer Vectorize.Store(true)
-	for _, on := range []bool{true, false} {
-		Vectorize.Store(on)
-		before := vectorizedBatchesCtr.Value()
-		if _, err := pipe.Apply(part); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pipe.ApplyInstrumented(part); err != nil {
-			t.Fatal(err)
-		}
-		advanced := vectorizedBatchesCtr.Value() > before
-		if advanced != on {
-			t.Fatalf("Vectorize=%v: batch counter advanced=%v", on, advanced)
-		}
 	}
 }
 
@@ -253,7 +194,7 @@ func TestFusedCountersAdvance(t *testing.T) {
 	f0 := fusedStepsCtr[OpFilter].Value()
 	p0 := fusedStepsCtr[OpProject].Value()
 	s0 := fusedStepsCtr[OpSortWithin].Value()
-	if _, err := pipe.ApplyVectorized(vecTestRows(3 * batchSize)); err != nil {
+	if _, err := pipe.Apply(vecTestRows(3 * batchSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := vectorizedBatchesCtr.Value() - b0; got != 3 {
@@ -284,7 +225,7 @@ func TestDebugMutateSelection(t *testing.T) {
 		return sel
 	}
 	defer func() { DebugMutateSelection = nil }()
-	got, err := pipe.ApplyVectorized(part)
+	got, err := pipe.Apply(part)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,8 +270,9 @@ func TestCompactConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestMmapReadEquality: the mapped and pread paths decode identical
-// rows, and the mmap counter moves only when the toggle is on.
+// TestMmapReadEquality: OpenSegment's mapped reads and
+// OpenSegmentReaderAt's pread copies decode identical rows, and the
+// mmap counter moves once per mapped segment only.
 func TestMmapReadEquality(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")
@@ -279,22 +280,48 @@ func TestMmapReadEquality(t *testing.T) {
 	st := openTestStore(t, true)
 	want := fillStore(t, st, 2, 64)
 
-	Mmap.Store(true)
-	before := mSegmentsMmapped.Value()
-	mapped := storeRows(t, st)
-	if d := mSegmentsMmapped.Value() - before; d != 2 {
-		t.Fatalf("mmap counter moved by %d, want 2", d)
-	}
+	var mapped, copied []relation.Row
+	for _, path := range st.SegmentPaths() {
+		before := mSegmentsMmapped.Value()
+		g, err := OpenSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := mSegmentsMmapped.Value() - before; d != 1 || g.mm == nil {
+			t.Fatalf("%s: mmap counter moved by %d (mapped=%v), want 1", path, d, g.mm != nil)
+		}
+		_, rows, err := g.ReadColumns(nil)
+		g.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped = append(mapped, rows...)
 
-	Mmap.Store(false)
-	before = mSegmentsMmapped.Value()
-	copied := storeRows(t, st)
-	Mmap.Store(mmapSupported)
-	if d := mSegmentsMmapped.Value() - before; d != 0 {
-		t.Fatalf("mmap counter moved by %d with the toggle off", d)
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = mSegmentsMmapped.Value()
+		p, err := OpenSegmentReaderAt(f, fi.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rows, err = p.ReadColumns(nil)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := mSegmentsMmapped.Value() - before; d != 0 || p.mm != nil {
+			t.Fatalf("%s: mmap counter moved by %d on the pread path", path, d)
+		}
+		copied = append(copied, rows...)
 	}
 
 	if !rowsEq(mapped, copied) || !rowsEq(mapped, want) {
-		t.Fatal("mmap and pread scans differ")
+		t.Fatal("mmap and pread reads differ")
 	}
 }

@@ -38,7 +38,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync/atomic"
 
 	"ivnt/internal/colcodec"
 	"ivnt/internal/relation"
@@ -379,15 +378,6 @@ func parseColMeta(rd *reader, nrows int) (colMeta, error) {
 
 // ------------------------------------------------------------- reading
 
-// Mmap controls whether OpenSegment maps committed segment files into
-// memory instead of issuing per-chunk pread copies. On by default where
-// the platform supports it (see mmap_unix.go); a failed map silently
-// falls back to file reads, and the CRC/footer validation is identical
-// either way. Flip off to A/B the copying path.
-var Mmap atomic.Bool
-
-func init() { Mmap.Store(mmapSupported) }
-
 // Segment is an open segment file: footer parsed and validated, chunks
 // read lazily per column. The zero decode guarantee lives here — only
 // ReadColumns touches chunk bytes, and only for the columns asked.
@@ -400,7 +390,10 @@ type Segment struct {
 }
 
 // OpenSegment opens a segment file and validates its header, trailer
-// and footer (chunk bytes stay untouched).
+// and footer (chunk bytes stay untouched). Where the platform supports
+// it (see mmap_unix.go) the file is mapped into memory instead of read
+// with per-chunk pread copies; a failed map silently falls back to file
+// reads, and the CRC/footer validation is identical either way.
 func OpenSegment(path string) (*Segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -417,11 +410,9 @@ func OpenSegment(path string) (*Segment, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	g.path, g.f = path, f
-	if Mmap.Load() {
-		if mm, err := mmapFile(f, st.Size()); err == nil {
-			g.mm = mm
-			mSegmentsMmapped.Inc()
-		}
+	if mm, err := mmapFile(f, st.Size()); err == nil {
+		g.mm = mm
+		mSegmentsMmapped.Inc()
 	}
 	return g, nil
 }
