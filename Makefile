@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-metrics check bench bench-smoke profile difftest fuzz-smoke e2ebench e2ebench-test
+.PHONY: all build test race vet vet-metrics fmt-check check bench bench-smoke profile difftest fuzz-smoke e2ebench e2ebench-test
 
 all: check
 
@@ -24,9 +24,15 @@ vet:
 vet-metrics:
 	$(GO) run ./cmd/vetmetrics
 
+# Formatting gate: fails, listing the files, when gofmt would change
+# any Go source of the repository (e2ebench/ included; the .bench_build
+# cache is not walked).
+fmt-check:
+	@out=$$(gofmt -l *.go cmd internal examples e2ebench); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # check is the pre-merge gate: nothing lands unless the module builds,
-# vets, tests and race-tests clean (see docs/TESTING.md).
-check: build vet vet-metrics test race
+# is gofmt-clean, vets, tests and race-tests clean (see docs/TESTING.md).
+check: build fmt-check vet vet-metrics test race
 
 # Differential correctness runs, one entry point for every family:
 #   make difftest FAMILY=<core|spill|shuffle|scan|query|compact> DIFFTEST_N=<n>

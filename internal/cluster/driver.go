@@ -343,8 +343,9 @@ type stageRun struct {
 
 	// in encodes the input relation's partitions (RunStage). segs, when
 	// non-nil, marks a segment-scheduled stage (RunSegmentStage)
-	// instead: task pi reads segs[pi] on the executor. Pruned refs are
-	// committed driver-side before any slot starts, using prunedPipe —
+	// instead: task pi reads segs[pi] on the executor. Skipped refs
+	// (pruned, or answered from the footer) are committed driver-side
+	// before any slot starts, using prunedPipe —
 	// the stage compiled from the ORIGINAL ops (ship.ops has broadcast
 	// rows stripped and is only compilable on an executor).
 	in         *partEncoder
@@ -399,7 +400,9 @@ func (d *Driver) RunStage(ctx context.Context, rel *relation.Relation, ops []eng
 // to an empty partition, which keeps partition indexes stable and the
 // output bitwise-equal to a full scan (aggregations over empty input
 // produce the same rows either way, because the pushed filter provably
-// empties those segments mid-pipeline).
+// empties those segments mid-pipeline). Refs answered from their
+// footers are committed the same way; engine.ScanAggregate splices
+// their footer rows into those empty partitions.
 func (d *Driver) RunSegmentStage(ctx context.Context, refs []engine.SegmentRef, schema relation.Schema, ops []engine.OpDesc) (*relation.Relation, engine.Stats, error) {
 	start := time.Now()
 	sr, err := d.newStageRun(schema, ops, len(refs))
@@ -409,7 +412,7 @@ func (d *Driver) RunSegmentStage(ctx context.Context, refs []engine.SegmentRef, 
 	sr.segs = refs
 	rowsIn := 0
 	for _, ref := range refs {
-		if !ref.Pruned {
+		if !ref.Skip() {
 			rowsIn += ref.Rows
 		} else if sr.prunedPipe == nil {
 			if sr.prunedPipe, _, err = engine.CompileStage(schema, ops); err != nil {
@@ -442,13 +445,13 @@ func (d *Driver) drive(ctx context.Context, sr *stageRun, start time.Time, rowsI
 	defer stageSpan.End()
 	d.Tasks.BeginStage(fpHex, d.Name(), nParts)
 
-	// Pruned segments complete before any slot dials: their output is
+	// Skipped segments complete before any slot dials: their output is
 	// the stage pipeline over an empty partition, computed on the
-	// driver. Each pruned partition gets its own ApplyContained call so
+	// driver. Each skipped partition gets its own ApplyContained call so
 	// no output rows alias across partitions.
 	run := make([]int, 0, nParts)
 	for pi := 0; pi < nParts; pi++ {
-		if sr.segs == nil || !sr.segs[pi].Pruned {
+		if sr.segs == nil || !sr.segs[pi].Skip() {
 			run = append(run, pi)
 			continue
 		}
@@ -458,7 +461,11 @@ func (d *Driver) drive(ctx context.Context, sr *stageRun, start time.Time, rowsI
 		}
 		sr.outParts[pi] = rows
 		if spans != nil {
-			spans[pi].Event("pruned")
+			ev := "answered"
+			if sr.segs[pi].Pruned {
+				ev = "pruned"
+			}
+			spans[pi].Event(ev)
 			spans[pi].End()
 		}
 		d.Tasks.Done(pi)

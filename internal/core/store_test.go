@@ -14,6 +14,7 @@ import (
 	"ivnt/internal/mining/assoc"
 	"ivnt/internal/mining/motif"
 	"ivnt/internal/mining/transition"
+	"ivnt/internal/query"
 	"ivnt/internal/relation"
 	"ivnt/internal/rules"
 	"ivnt/internal/segstore"
@@ -228,5 +229,50 @@ func TestDomainNameMustBePlain(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
 		t.Fatal("opening a missing domain created it")
+	}
+}
+
+// storeSource resolves every relation name to one store.
+type storeSource struct{ st *segstore.Store }
+
+func (s storeSource) Source(string) (engine.ScanSource, error) { return s.st, nil }
+
+// TestSealedStoreAnswersAggFromFooters: the served benchmark's GROUP BY
+// statement over a sealed SYN store is answered from the segment
+// footers alone, every segment of it, with the rows the decoding path
+// computes.
+func TestSealedStoreAnswersAggFromFooters(t *testing.T) {
+	st, err := SealResult(t.TempDir(), "SYN", synResult(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT sid, count(*) AS n, min(t) AS t_min, max(t) AS t_max FROM trace GROUP BY sid"
+	q, err := query.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := query.Compile(q, func(string) (relation.Schema, error) { return st.Reduced.ScanSchema(), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := engine.NewLocal(2)
+	res, err := query.Run(ctx, local, storeSource{st.Reduced}, p, engine.PlanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Reduced.NumSegments(); res.Stats.SegmentsAnswered != n || res.Stats.RowsIn != 0 {
+		t.Fatalf("%d of %d segments answered, %d rows read; want all answered and none read",
+			res.Stats.SegmentsAnswered, n, res.Stats.RowsIn)
+	}
+	pre, _, err := engine.ScanStage(ctx, local, st.Reduced, p.ScanOps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _, err := engine.DistributedAggregate(ctx, local, pre, p.GroupBy, p.Aggs, engine.PlanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rel.Rows(); !reflect.DeepEqual(got, want.Rows()) {
+		t.Fatalf("footer answers differ from the decoded aggregate:\n got %v\nwant %v", got, want.Rows())
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"ivnt/internal/oracle"
 	"ivnt/internal/query"
 	"ivnt/internal/relation"
+	"ivnt/internal/segstore"
 )
 
 // -difftest.query narrows a replay to the query-frontend invariants:
@@ -226,13 +227,19 @@ func diffRowsInOrder(want, got *relation.Relation) string {
 	return ""
 }
 
-// TestQueryDifferential drives the query-frontend invariants over the
-// seeded workload population (the `make difftest FAMILY=query` CI job). Replay
+// TestQueryDifferential drives the query-frontend invariants, and the
+// footer-answered aggregate invariants (checkQueryAgg), over the seeded
+// workload population (the `make difftest FAMILY=query` CI job). Replay
 // one failure with -difftest.seed=<seed> -difftest.query.
 func TestQueryDifferential(t *testing.T) {
 	armBudget(t)
 	ctx := context.Background()
 	local := engine.NewLocal(4)
+	env, err := NewEnv(ctx)
+	if err != nil {
+		t.Fatalf("start cluster env: %v", err)
+	}
+	defer env.Close()
 
 	var seeds []int64
 	if *flagSeed != 0 {
@@ -242,14 +249,17 @@ func TestQueryDifferential(t *testing.T) {
 			seeds = append(seeds, *flagBase+i)
 		}
 	}
-	failures := 0
+	failures, answered := 0, 0
 	for _, seed := range seeds {
 		w := Generate(seed)
 		if *flagQuery {
 			sql, _ := genQuery(w)
 			t.Logf("seed %d statement: %s", seed, sql)
 		}
-		for _, rep := range checkQuery(ctx, local, w, t.TempDir()) {
+		fails := checkQuery(ctx, local, w, t.TempDir())
+		aggFails, n := env.checkQueryAgg(ctx, w, t.TempDir())
+		answered += n
+		for _, rep := range append(fails, aggFails...) {
 			t.Errorf("\n%s", rep)
 			failures++
 		}
@@ -257,6 +267,47 @@ func TestQueryDifferential(t *testing.T) {
 			t.Fatalf("stopping after %d mismatches", failures)
 		}
 	}
+	// Flavors are drawn per key, so a handful of seeds always seal some
+	// answerable segment; none answered means the footer path is off.
+	if len(seeds) >= 10 && answered == 0 {
+		t.Fatalf("no segment was answered from its footer across %d workloads", len(seeds))
+	}
+}
+
+// TestQueryDifferentialCatchesTightenedZone demonstrates detection
+// power for footer answers: zone maps whose float minimum is tightened
+// (injected via segstore.DebugZoneMutate) make answered segments report
+// a wrong min, and the aggregate invariant must catch it with a
+// replayable report.
+func TestQueryDifferentialCatchesTightenedZone(t *testing.T) {
+	segstore.DebugZoneMutate = func(_ string, z *segstore.ZoneMap) {
+		if z.FHas && z.FMin < z.FMax {
+			z.FMin = (z.FMin + z.FMax) / 2
+		}
+	}
+	defer func() { segstore.DebugZoneMutate = nil }()
+	ctx := context.Background()
+	env, err := NewEnv(ctx)
+	if err != nil {
+		t.Fatalf("start cluster env: %v", err)
+	}
+	defer env.Close()
+
+	for seed := int64(1); seed <= 200; seed++ {
+		w := Generate(seed)
+		fails, _ := env.checkQueryAgg(ctx, w, t.TempDir())
+		if len(fails) == 0 {
+			continue
+		}
+		for _, token := range []string{"seed:", "-difftest.seed=", "query-agg"} {
+			if !strings.Contains(fails[0], token) {
+				t.Fatalf("report missing %q:\n%s", token, fails[0])
+			}
+		}
+		t.Logf("tightened zone minimum caught at seed %d:\n%s", seed, fails[0])
+		return
+	}
+	t.Fatal("tightened zone minimums never changed an answered aggregate across 200 seeded workloads")
 }
 
 // TestQueryDifferentialCatchesPrecedenceBug demonstrates detection

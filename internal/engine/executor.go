@@ -53,6 +53,9 @@ type Stats struct {
 	ShufflePartitions  int
 	ShuffleBytesPushed int64
 	ShuffleBarrierWall time.Duration
+	// SegmentsAnswered counts segments whose partial aggregate
+	// ScanAggregate took from the segment footer instead of decoding.
+	SegmentsAnswered int
 }
 
 // Add accumulates another stage's stats.
@@ -75,6 +78,7 @@ func (s *Stats) Add(o Stats) {
 	s.ShufflePartitions += o.ShufflePartitions
 	s.ShuffleBytesPushed += o.ShuffleBytesPushed
 	s.ShuffleBarrierWall += o.ShuffleBarrierWall
+	s.SegmentsAnswered += o.SegmentsAnswered
 }
 
 // Executor runs a stage — a narrow-operator pipeline over every

@@ -293,3 +293,122 @@ func DistributedAggregate(ctx context.Context, exec Executor, rel *relation.Rela
 	st.RowsOut = out.NumRows()
 	return out, PlanBroadcast, st, nil
 }
+
+// ScanAggregate computes a group-by over a scan stage: ScanStage(exec,
+// src, ops) followed by DistributedAggregate, with one shortcut. When
+// the stage only projects (FoldPushdown folds every op, pushes no
+// filter, and the stage outputs the columns it scans) and src is a
+// FooterAnswerer, each segment whose footer proves its partial-
+// aggregate row is answered without being read. The other segments
+// are scanned as usual, answered ones coming back as empty partitions,
+// and run PartialAgg; the footer rows are then spliced in by segment
+// index. MergePartials thus sees the partials the broadcast plan would
+// have fed it, in the same order, and the result is bitwise the same.
+//
+// The plan choice is kept too: the footers also give the footprint
+// the answered rows would have had, so the input size the planner
+// compares with the broadcast threshold is the decoding path's. Where
+// that picks the shuffle plan, which needs every row, ScanAggregate
+// runs ScanStage + DistributedAggregate instead, as it does when no
+// segment answers. Answered segments are counted in
+// Stats.SegmentsAnswered.
+func ScanAggregate(ctx context.Context, exec Executor, src ScanSource, ops []OpDesc, groupBy []string, aggs []AggSpec, cfg PlanConfig) (*relation.Relation, PlanKind, Stats, error) {
+	pd, refs, width, partialSchema, err := footerAnswers(src, ops, groupBy, aggs)
+	if err != nil {
+		return nil, PlanBroadcast, Stats{}, err
+	}
+	answered := 0
+	var answeredSize int64
+	for _, r := range refs {
+		if r.Answer != nil {
+			answered++
+			answeredSize += fixedFootprint(r.Rows, width) + r.AnswerBytes
+		}
+	}
+	_, canShuffle := exec.(ShuffleExecutor)
+	shuffles := func(size int64) bool { return canShuffle && size > cfg.threshold() }
+	if answered == 0 || shuffles(answeredSize) {
+		return scanThenAggregate(ctx, exec, src, ops, groupBy, aggs, cfg)
+	}
+
+	var st Stats
+	partials := &relation.Relation{Schema: partialSchema, Partitions: make([][]relation.Row, len(refs))}
+	if answered < len(refs) {
+		pd.Segments = refs
+		rel, sst, err := runScanStage(ctx, exec, src, pd, ops)
+		if err != nil {
+			return nil, PlanBroadcast, Stats{}, err
+		}
+		if shuffles(answeredSize + footprint(rel)) {
+			return scanThenAggregate(ctx, exec, src, ops, groupBy, aggs, cfg)
+		}
+		if partials, st, err = exec.RunStage(ctx, rel, []OpDesc{PartialAgg(groupBy, aggs)}); err != nil {
+			return nil, PlanBroadcast, Stats{}, err
+		}
+		st.Add(sst)
+	}
+	for i, r := range refs {
+		if r.Answer != nil {
+			partials.Partitions[i] = []relation.Row{r.Answer}
+		}
+	}
+	out, err := MergePartials(partials, groupBy, aggs)
+	if err != nil {
+		return nil, PlanBroadcast, Stats{}, err
+	}
+	st.RowsOut = out.NumRows()
+	st.SegmentsAnswered = answered
+	return out, PlanBroadcast, st, nil
+}
+
+// scanThenAggregate is the decoding path: ScanStage, then
+// DistributedAggregate with its own plan choice.
+func scanThenAggregate(ctx context.Context, exec Executor, src ScanSource, ops []OpDesc, groupBy []string, aggs []AggSpec, cfg PlanConfig) (*relation.Relation, PlanKind, Stats, error) {
+	rel, st, err := ScanStage(ctx, exec, src, ops)
+	if err != nil {
+		return nil, PlanBroadcast, Stats{}, err
+	}
+	out, pk, ast, err := DistributedAggregate(ctx, exec, rel, groupBy, aggs, cfg)
+	if err != nil {
+		return nil, pk, Stats{}, err
+	}
+	st.Add(ast)
+	return out, pk, st, nil
+}
+
+// footerAnswers asks src for footer answers when the scan stage
+// qualifies: every op a Project, so FoldPushdown consumes the whole
+// stage and pushes no filter; the stage outputs as many columns as it
+// scans, so the footer's payload sizes are the output rows' (width is
+// that count); and src is a FooterAnswerer. Otherwise it returns no
+// refs. It checks the plan first, as ScanStage and the PartialAgg
+// stage would, and returns the partials' schema.
+func footerAnswers(src ScanSource, ops []OpDesc, groupBy []string, aggs []AggSpec) (pd Pushdown, refs []SegmentRef, width int, partialSchema relation.Schema, err error) {
+	full := src.ScanSchema()
+	out, err := OutputSchema(full, ops)
+	if err == nil {
+		partialSchema, err = OutputSchema(out, []OpDesc{PartialAgg(groupBy, aggs)})
+	}
+	if err != nil {
+		return Pushdown{}, nil, 0, relation.Schema{}, err
+	}
+	fa, ok := src.(FooterAnswerer)
+	if !ok {
+		return Pushdown{}, nil, 0, partialSchema, nil
+	}
+	for _, op := range ops {
+		if op.Kind != OpProject {
+			return Pushdown{}, nil, 0, partialSchema, nil
+		}
+	}
+	if pd, err = FoldPushdown(full, ops); err != nil {
+		return Pushdown{}, nil, 0, relation.Schema{}, err
+	}
+	if pd.Cols != nil && len(pd.Cols) != out.Len() {
+		return Pushdown{}, nil, 0, partialSchema, nil
+	}
+	if refs, err = fa.AnswerSegments(pd, groupBy, aggs); err != nil {
+		return Pushdown{}, nil, 0, relation.Schema{}, err
+	}
+	return pd, refs, out.Len(), partialSchema, nil
+}

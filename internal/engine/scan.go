@@ -29,9 +29,17 @@ import (
 // Cols, when non-nil, is the schema-ordered set of columns the stage
 // can possibly touch; the source decodes only those. Nil means the
 // stage's column usage could not be bounded — decode everything.
+//
+// Segments, when non-nil, pins the scan to this segment list (a
+// snapshot an earlier SegmentLister call returned) in place of the
+// source's current one; refs that Skip come back as empty partitions.
+// ScanAggregate sets it so that the segments it answered from footers
+// and the ones it decodes come from one manifest snapshot, even when a
+// compaction commits in between. Sources without segments ignore it.
 type Pushdown struct {
-	Filters []string
-	Cols    []string
+	Filters  []string
+	Cols     []string
+	Segments []SegmentRef
 }
 
 // ScanSource is a relation that can be scanned with pushdown. Scan
@@ -47,19 +55,43 @@ type ScanSource interface {
 // executor can read the segment file itself instead of receiving
 // driver-shipped rows. Cols mirrors Pushdown.Cols; Rows is the footer
 // row count (for stats, without decoding); Pruned marks segments whose
-// zone maps proved the pushed filters unsatisfiable.
+// zone maps proved the pushed filters unsatisfiable. Answer, when
+// non-nil, is the segment's partial-aggregate row proved from its
+// footer (see FooterAnswerer); the segment is then never read either.
+// AnswerBytes goes with it: the string and byte payload of the
+// segment's scanned cells, also proved from the footer, from which
+// ScanAggregate sizes the rows it did not decode.
 type SegmentRef struct {
-	Path   string
-	Cols   []string
-	Rows   int
-	Pruned bool
+	Path        string
+	Cols        []string
+	Rows        int
+	Pruned      bool
+	Answer      relation.Row
+	AnswerBytes int64
 }
+
+// Skip reports whether a scan leaves the segment unread: pruned, or
+// answered from its footer. Skipped segments surface as empty
+// partitions, keeping partition indexes stable.
+func (r SegmentRef) Skip() bool { return r.Pruned || r.Answer != nil }
 
 // SegmentLister is the optional ScanSource capability behind
 // segment-scheduled scans: it exposes the segment files a Pushdown
 // resolves to, one SegmentRef per segment in partition order.
 type SegmentLister interface {
 	Segments(pd Pushdown) ([]SegmentRef, error)
+}
+
+// FooterAnswerer is the optional ScanSource capability behind
+// ScanAggregate. AnswerSegments resolves pd to its segments, as
+// SegmentLister.Segments does, and sets Answer on each segment whose
+// footer alone proves the partial-aggregate row a PartialAgg(groupBy,
+// aggs) op would emit over that segment's scanned rows, together with
+// AnswerBytes. A segment the footer cannot pin exactly keeps a nil
+// Answer and is decoded as usual.
+type FooterAnswerer interface {
+	SegmentLister
+	AnswerSegments(pd Pushdown, groupBy []string, aggs []AggSpec) ([]SegmentRef, error)
 }
 
 // SegmentExecutor is the optional Executor capability for running a
@@ -141,19 +173,29 @@ func ScanStage(ctx context.Context, exec Executor, src ScanSource, ops []OpDesc)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	scanSchema := full
+	return runScanStage(ctx, exec, src, pd, ops)
+}
+
+// runScanStage runs ops over the scan of pd: by segment file when the
+// executor and the source both speak segments, else over the source's
+// Scan. A non-nil pd.Segments is the segment snapshot to run on.
+func runScanStage(ctx context.Context, exec Executor, src ScanSource, pd Pushdown, ops []OpDesc) (*relation.Relation, Stats, error) {
+	scanSchema := src.ScanSchema()
 	if pd.Cols != nil {
-		scanSchema, err = full.Project(pd.Cols...)
-		if err != nil {
+		var err error
+		if scanSchema, err = scanSchema.Project(pd.Cols...); err != nil {
 			return nil, Stats{}, err
 		}
 	}
 	if se, ok := exec.(SegmentExecutor); ok {
-		if sl, ok := src.(SegmentLister); ok {
-			refs, err := sl.Segments(pd)
-			if err != nil {
+		refs := pd.Segments
+		if sl, ok := src.(SegmentLister); ok && refs == nil {
+			var err error
+			if refs, err = sl.Segments(pd); err != nil {
 				return nil, Stats{}, err
 			}
+		}
+		if refs != nil {
 			return se.RunSegmentStage(ctx, refs, scanSchema, ops)
 		}
 	}

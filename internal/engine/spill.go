@@ -170,12 +170,16 @@ func spillFault(op string) error {
 // declared working-set estimate for the governor, not a heap
 // measurement — consistency matters more than exactness.
 func rowFootprint(r relation.Row) int64 {
-	n := int64(24 + 64*len(r))
+	n := fixedFootprint(1, len(r))
 	for i := range r {
 		n += int64(len(r[i].S) + len(r[i].B))
 	}
 	return n
 }
+
+// fixedFootprint is rowFootprint without the payloads, for rows rows
+// of width cells each.
+func fixedFootprint(rows, width int) int64 { return int64(rows) * int64(24+64*width) }
 
 // RowsFootprint estimates the resident bytes of a row slice, the unit
 // operators reserve from the governor before materializing state.

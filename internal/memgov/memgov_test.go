@@ -54,7 +54,7 @@ func TestUnlimitedGovernor(t *testing.T) {
 	if !g.Unlimited() {
 		t.Fatal("zero budget should be unlimited")
 	}
-	if g.TryGrant(1 << 40) == nil {
+	if g.TryGrant(1<<40) == nil {
 		t.Fatal("unlimited governor denied")
 	}
 	if g.Pressure() != 0 {

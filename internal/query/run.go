@@ -24,16 +24,25 @@ type Result struct {
 
 // Run executes a compiled plan: scan stages (with fold-pushdown
 // pruning) feed the distributed join/aggregate steps, then the global
-// sort and limit. cfg tunes the broadcast/shuffle choice; the zero
-// value uses the engine defaults.
+// sort and limit. An aggregate without a join runs its scan and
+// aggregate as one engine.ScanAggregate, which answers segments from
+// their footers where it can. cfg tunes the broadcast/shuffle choice;
+// the zero value uses the engine defaults.
 func Run(ctx context.Context, exec engine.Executor, srcs Sources, p *Plan, cfg engine.PlanConfig) (*Result, error) {
 	res := &Result{PlanKind: engine.PlanBroadcast}
 	src, err := srcs.Source(p.From)
 	if err != nil {
 		return nil, err
 	}
-	cur, st, err := engine.ScanStage(ctx, exec, src, p.ScanOps)
-	if err != nil {
+	var cur *relation.Relation
+	var st engine.Stats
+	if len(p.Aggs) > 0 && p.Join == nil {
+		var pk engine.PlanKind
+		if cur, pk, st, err = engine.ScanAggregate(ctx, exec, src, p.ScanOps, p.GroupBy, p.Aggs, cfg); err != nil {
+			return nil, err
+		}
+		res.PlanKind = pk
+	} else if cur, st, err = engine.ScanStage(ctx, exec, src, p.ScanOps); err != nil {
 		return nil, err
 	}
 	res.Stats.Add(st)
@@ -62,23 +71,23 @@ func Run(ctx context.Context, exec engine.Executor, srcs Sources, p *Plan, cfg e
 			}
 			res.Stats.Add(st)
 		}
-	}
-
-	if len(p.Aggs) > 0 {
-		var pk engine.PlanKind
-		cur, pk, st, err = engine.DistributedAggregate(ctx, exec, cur, p.GroupBy, p.Aggs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.PlanKind = pk
-		res.Stats.Add(st)
-		if len(p.FinalProject) > 0 {
-			cur, st, err = exec.RunStage(ctx, cur, []engine.OpDesc{engine.Project(p.FinalProject...)})
+		if len(p.Aggs) > 0 {
+			var pk engine.PlanKind
+			cur, pk, st, err = engine.DistributedAggregate(ctx, exec, cur, p.GroupBy, p.Aggs, cfg)
 			if err != nil {
 				return nil, err
 			}
+			res.PlanKind = pk
 			res.Stats.Add(st)
 		}
+	}
+
+	if len(p.FinalProject) > 0 {
+		cur, st, err = exec.RunStage(ctx, cur, []engine.OpDesc{engine.Project(p.FinalProject...)})
+		if err != nil {
+			return nil, err
+		}
+		res.Stats.Add(st)
 	}
 
 	if len(p.OrderBy) > 0 {

@@ -44,7 +44,13 @@ import (
 )
 
 const (
-	formatVersion = 1
+	// formatVersion is the version written: v2 added the zone-map kind
+	// bits (zoneFlagFloats, zoneFlagInts) to the per-column flags byte,
+	// which costs no bytes. Readers accept every version from
+	// minFormatVersion up; a v1 footer never records the kind bits, so
+	// its segments are never answered from footers (aggmeta.go).
+	formatVersion    = 2
+	minFormatVersion = 1
 
 	headerLen  = 5  // "IVSG" + version
 	trailerLen = 12 // footerLen u32 | footerCRC u32 | "IVS1"
@@ -77,7 +83,11 @@ var (
 // floats), NaNs are the NumOrd cells whose float value is NaN, and Strs
 // are string-kind cells. FMin/FMax bound the float values of the
 // non-NaN NumOrd cells (valid when FHas); SMin/SMax bound the string
-// cells lexicographically (valid when SHas).
+// cells lexicographically (valid when SHas). FloatsOnly and IntsOnly
+// say which kinds NumKind counts: FloatsOnly when NumKind > 0 and every
+// one of those cells is a float, IntsOnly when every one is an int. A
+// column with both kinds, or none, sets neither; so does every v1
+// footer, which did not record them.
 type ZoneMap struct {
 	Nulls   int
 	NumKind int
@@ -90,11 +100,14 @@ type ZoneMap struct {
 
 	SHas       bool
 	SMin, SMax string
+
+	FloatsOnly, IntsOnly bool
 }
 
 // zoneOf computes column ci's zone map over rows.
 func zoneOf(rows []relation.Row, ci int) ZoneMap {
 	var z ZoneMap
+	floats := 0
 	for _, r := range rows {
 		v := r[ci]
 		if v.K == relation.KindNull {
@@ -103,6 +116,9 @@ func zoneOf(rows []relation.Row, ci int) ZoneMap {
 		}
 		if v.K == relation.KindInt || v.K == relation.KindFloat {
 			z.NumKind++
+			if v.K == relation.KindFloat {
+				floats++
+			}
 		}
 		if v.K == relation.KindString {
 			z.Strs++
@@ -130,6 +146,8 @@ func zoneOf(rows []relation.Row, ci int) ZoneMap {
 			z.FHas = true
 		}
 	}
+	z.FloatsOnly = z.NumKind > 0 && floats == z.NumKind
+	z.IntsOnly = z.NumKind > 0 && floats == 0
 	return z
 }
 
@@ -144,8 +162,9 @@ type colMeta struct {
 
 // footer is the parsed tail of a segment file.
 type footer struct {
-	rows int
-	cols []colMeta
+	version byte
+	rows    int
+	cols    []colMeta
 }
 
 // schema reconstructs the stored schema from the footer.
@@ -168,8 +187,10 @@ func (f *footer) col(name string) *colMeta {
 }
 
 const (
-	zoneFlagF = 0x01
-	zoneFlagS = 0x02
+	zoneFlagF      = 0x01
+	zoneFlagS      = 0x02
+	zoneFlagFloats = 0x04 // v2: ZoneMap.FloatsOnly
+	zoneFlagInts   = 0x08 // v2: ZoneMap.IntsOnly
 )
 
 // encodeFooter serializes the footer body (without the trailer):
@@ -178,12 +199,12 @@ const (
 //	per column:
 //	  nameLen:uvarint name kind:uint8 off:uvarint size:uvarint
 //	  nulls numKind numOrd nans strs  (five uvarints)
-//	  zoneFlags:uint8
+//	  zoneFlags:uint8  (zoneFlagF|zoneFlagS|zoneFlagFloats|zoneFlagInts)
 //	  [fmin:float64 fmax:float64]      when zoneFlags&zoneFlagF
 //	  [sminLen:uvarint smin smaxLen:uvarint smax]  when zoneFlags&zoneFlagS
 func encodeFooter(f *footer) []byte {
 	w := newByteWriter()
-	w.byte(formatVersion)
+	w.byte(f.version)
 	w.uvarint(uint64(f.rows))
 	w.uvarint(uint64(len(f.cols)))
 	for _, c := range f.cols {
@@ -203,6 +224,12 @@ func encodeFooter(f *footer) []byte {
 		}
 		if z.SHas {
 			flags |= zoneFlagS
+		}
+		if z.FloatsOnly {
+			flags |= zoneFlagFloats
+		}
+		if z.IntsOnly {
+			flags |= zoneFlagInts
 		}
 		w.byte(flags)
 		if z.FHas {
@@ -227,7 +254,7 @@ func parseFooter(data []byte, dataEnd int64) (*footer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segstore: footer version: %w", err)
 	}
-	if ver != formatVersion {
+	if ver < minFormatVersion || ver > formatVersion {
 		return nil, fmt.Errorf("segstore: unsupported footer version %d", ver)
 	}
 	nrows, err := rd.uvarint()
@@ -244,12 +271,12 @@ func parseFooter(data []byte, dataEnd int64) (*footer, error) {
 	if ncols > maxCols {
 		return nil, fmt.Errorf("segstore: footer claims %d columns, cap %d", ncols, maxCols)
 	}
-	f := &footer{rows: int(nrows), cols: make([]colMeta, 0, ncols)}
+	f := &footer{version: ver, rows: int(nrows), cols: make([]colMeta, 0, ncols)}
 	seen := make(map[string]bool, ncols)
 	prevEnd := int64(headerLen)
 	nonNullMax := int(nrows)
 	for i := 0; i < int(ncols); i++ {
-		c, err := parseColMeta(rd, nonNullMax)
+		c, err := parseColMeta(rd, nonNullMax, ver)
 		if err != nil {
 			return nil, fmt.Errorf("segstore: footer column %d: %w", i, err)
 		}
@@ -272,9 +299,10 @@ func parseFooter(data []byte, dataEnd int64) (*footer, error) {
 	return f, nil
 }
 
-// parseColMeta reads one column entry and validates its zone map's
-// internal consistency against the segment row count.
-func parseColMeta(rd *reader, nrows int) (colMeta, error) {
+// parseColMeta reads one column entry of a version-ver footer and
+// validates its zone map's internal consistency against the segment row
+// count.
+func parseColMeta(rd *reader, nrows int, ver byte) (colMeta, error) {
 	var c colMeta
 	name, err := rd.str(maxNameLen)
 	if err != nil {
@@ -336,11 +364,26 @@ func parseColMeta(rd *reader, nrows int) (colMeta, error) {
 	if err != nil {
 		return c, fmt.Errorf("zone flags: %w", err)
 	}
-	if flags&^(zoneFlagF|zoneFlagS) != 0 {
-		return c, fmt.Errorf("bad zone flags %#x", flags)
+	known := byte(zoneFlagF | zoneFlagS | zoneFlagFloats | zoneFlagInts)
+	if ver < 2 {
+		known = zoneFlagF | zoneFlagS
+	}
+	if flags&^known != 0 {
+		return c, fmt.Errorf("bad zone flags %#x for footer version %d", flags, ver)
 	}
 	z.FHas = flags&zoneFlagF != 0
 	z.SHas = flags&zoneFlagS != 0
+	z.FloatsOnly = flags&zoneFlagFloats != 0
+	z.IntsOnly = flags&zoneFlagInts != 0
+	// A kind bit describes the int/float cells, so it needs some, and a
+	// column cannot be all floats and all ints at once. Footer answers
+	// (aggmeta.go) turn these bits into the kind of a min/max cell.
+	if (z.FloatsOnly || z.IntsOnly) && z.NumKind == 0 {
+		return c, fmt.Errorf("zone kind flags %#x without int/float cells", flags)
+	}
+	if z.FloatsOnly && z.IntsOnly {
+		return c, fmt.Errorf("zone kind flags %#x claim both all-float and all-int", flags)
+	}
 	// The flags are implied by the counts; a mismatch (e.g. float
 	// bounds for a column with no orderable numeric cell) is corruption.
 	if z.FHas != (z.NumOrd > z.NaNs) {
@@ -431,7 +474,7 @@ func OpenSegmentReaderAt(r io.ReaderAt, size int64) (*Segment, error) {
 	if [4]byte(hdr[:4]) != headerMagic {
 		return nil, fmt.Errorf("segstore: bad magic %q", hdr[:4])
 	}
-	if hdr[4] != formatVersion {
+	if hdr[4] < minFormatVersion || hdr[4] > formatVersion {
 		return nil, fmt.Errorf("segstore: unsupported version %d", hdr[4])
 	}
 	var tr [trailerLen]byte
@@ -456,6 +499,9 @@ func OpenSegmentReaderAt(r io.ReaderAt, size int64) (*Segment, error) {
 	foot, err := parseFooter(fb, footOff)
 	if err != nil {
 		return nil, err
+	}
+	if foot.version != hdr[4] {
+		return nil, fmt.Errorf("segstore: footer version %d in a version %d segment", foot.version, hdr[4])
 	}
 	return &Segment{r: r, foot: foot}, nil
 }
@@ -575,7 +621,7 @@ type segmentImage struct {
 
 func encodeSegment(s relation.Schema, rows []relation.Row, opts colcodec.Options) (*segmentImage, error) {
 	img := &segmentImage{header: append(append([]byte{}, headerMagic[:]...), formatVersion)}
-	foot := &footer{rows: len(rows), cols: make([]colMeta, s.Len())}
+	foot := &footer{version: formatVersion, rows: len(rows), cols: make([]colMeta, s.Len())}
 	off := int64(headerLen)
 	for ri, r := range rows {
 		if len(r) != s.Len() {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ivnt/internal/colcodec"
+	"ivnt/internal/engine"
 	"ivnt/internal/relation"
 )
 
@@ -31,11 +32,12 @@ func validSegmentBytes(t testing.TB) []byte {
 
 // assemble builds a segment file from a hand-crafted footer body with a
 // CORRECT trailer (length + CRC), so the malicious payload reaches the
-// footer parser instead of dying at the checksum.
+// footer parser instead of dying at the checksum. The header carries
+// the footer body's version byte.
 func assemble(chunks []byte, footerBody []byte) []byte {
 	var b []byte
 	b = append(b, headerMagic[:]...)
-	b = append(b, formatVersion)
+	b = append(b, footerBody[0])
 	b = append(b, chunks...)
 	b = append(b, footerBody...)
 	b = appendLE32(b, uint32(len(footerBody)))
@@ -43,9 +45,64 @@ func assemble(chunks []byte, footerBody []byte) []byte {
 	return append(b, trailerMagic[:]...)
 }
 
-// The four checked-in malicious corpus shapes. Each must be rejected
-// with an error — never a panic, never a Segment licensing unsound
-// pruning.
+// oneFloatColumn encodes a single float column "v" holding 2.0, the
+// chunk the crafted footers below describe.
+func oneFloatColumn(t testing.TB) []byte {
+	t.Helper()
+	one := relation.NewSchema(relation.Column{Name: "v", Kind: relation.KindFloat})
+	chunk, err := colcodec.Encode(one, []relation.Row{{relation.Float(2)}}, colcodec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chunk
+}
+
+// kindFlagFooter crafts the body of a version-ver footer for one
+// one-row column "v" over chunk, with the given zone counts and flags;
+// float bounds (2, 2) and string bounds ("a", "a") follow whenever the
+// flags claim them.
+func kindFlagFooter(ver byte, chunk []byte, numKind, strs uint64, flags byte) []byte {
+	w := newByteWriter()
+	w.byte(ver)
+	w.uvarint(1) // rows
+	w.uvarint(1) // cols
+	w.str("v")
+	w.byte(byte(relation.KindFloat))
+	w.uvarint(uint64(headerLen))
+	w.uvarint(uint64(len(chunk)))
+	w.uvarint(0)       // nulls
+	w.uvarint(numKind) // numkind
+	w.uvarint(numKind) // numord
+	w.uvarint(0)       // nans
+	w.uvarint(strs)    // strs
+	w.byte(flags)
+	if flags&zoneFlagF != 0 {
+		w.float(2)
+		w.float(2)
+	}
+	if flags&zoneFlagS != 0 {
+		w.str("a")
+		w.str("a")
+	}
+	return w.bytes()
+}
+
+// kindFlagFooters are the footer bodies of the three kind-bit shapes in
+// maliciousSegments, over oneFloatColumn's chunk.
+func kindFlagFooters(chunk []byte) map[string][]byte {
+	return map[string][]byte{
+		// All-float over a column with no int/float cell.
+		"zone-floatonly-without-numbers": kindFlagFooter(formatVersion, chunk, 0, 1, zoneFlagS|zoneFlagFloats),
+		// All-float and all-int at once.
+		"zone-floatonly-and-intonly": kindFlagFooter(formatVersion, chunk, 1, 0, zoneFlagF|zoneFlagFloats|zoneFlagInts),
+		// A kind bit in a v1 footer, which predates them.
+		"zone-kind-bit-in-v1-footer": kindFlagFooter(1, chunk, 1, 0, zoneFlagF|zoneFlagFloats),
+	}
+}
+
+// The checked-in malicious corpus shapes. Each must be rejected with an
+// error — never a panic, never a Segment licensing unsound pruning or
+// an unsound footer answer.
 func maliciousSegments(t testing.TB) map[string][]byte {
 	t.Helper()
 	valid := validSegmentBytes(t)
@@ -56,11 +113,7 @@ func maliciousSegments(t testing.TB) map[string][]byte {
 	// 2. Zone map claiming FMin > FMax: a crafted footer over one real
 	// float chunk. If the parser trusted it, "v < 3" would prune a
 	// segment that contains 2.0.
-	one := relation.NewSchema(relation.Column{Name: "v", Kind: relation.KindFloat})
-	chunk, err := colcodec.Encode(one, []relation.Row{{relation.Float(2)}}, colcodec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	chunk := oneFloatColumn(t)
 	w := newByteWriter()
 	w.byte(formatVersion)
 	w.uvarint(1) // rows
@@ -90,12 +143,19 @@ func maliciousSegments(t testing.TB) map[string][]byte {
 	// 4. CRC mismatch: one bit flipped inside an otherwise valid footer.
 	flipped := append([]byte{}, valid...)
 	flipped[len(flipped)-trailerLen-3] ^= 0x01
-	return map[string][]byte{
+	out := map[string][]byte{
 		"truncated-footer":      truncated,
 		"zone-min-gt-max":       badZone,
 		"column-count-overflow": overflow,
 		"footer-crc-mismatch":   flipped,
 	}
+	// 5–7. Zone kind bits that contradict the counts or each other. A
+	// footer answer turns them into the kind of a min/max cell, so a
+	// parser that trusted them would answer min(v) with the wrong kind.
+	for name, body := range kindFlagFooters(chunk) {
+		out[name] = assemble(chunk, body)
+	}
+	return out
 }
 
 // maliciousChunkSegments builds segments whose footers are VALID — they
@@ -268,6 +328,15 @@ func FuzzSegmentDecode(f *testing.F) {
 			if z.SHas && z.SMin > z.SMax {
 				t.Fatalf("accepted inverted string bounds [%q, %q]", z.SMin, z.SMax)
 			}
+			// Kind bits are what a footer answer trusts for a cell's kind.
+			if (z.FloatsOnly || z.IntsOnly) && (z.NumKind == 0 || z.FloatsOnly == z.IntsOnly) {
+				t.Fatalf("accepted contradictory kind bits %+v", z)
+			}
+			footerPartial(g.foot, nil, []string{c.Name}, []engine.AggSpec{
+				{Fn: engine.AggCount, As: "n"},
+				{Fn: engine.AggMin, Col: c.Name, As: "lo"},
+				{Fn: engine.AggMax, Col: c.Name, As: "hi"},
+			})
 		}
 		// Chunk decode must fail cleanly or produce the footer's row count.
 		if _, rows, err := g.ReadColumns(nil); err == nil && len(rows) != g.Rows() {
@@ -290,6 +359,10 @@ func FuzzFooter(f *testing.F) {
 	}
 	f.Add(img.tail[:len(img.tail)-trailerLen], uint32(dataEnd))
 	f.Add([]byte{formatVersion, 0, 0}, uint32(headerLen))
+	chunk := oneFloatColumn(f)
+	for _, body := range kindFlagFooters(chunk) {
+		f.Add(body, uint32(headerLen+len(chunk)))
+	}
 	f.Fuzz(func(t *testing.T, body []byte, end uint32) {
 		foot, err := parseFooter(body, int64(end))
 		if err != nil {

@@ -15,6 +15,8 @@ var (
 		"Segments sealed and committed to a store manifest.")
 	mSegmentsPruned = telemetry.Default().Counter("segstore_segments_pruned_total",
 		"Segments skipped by zone-map pruning (footer read, chunks never decoded).")
+	mSegmentsAnswered = telemetry.Default().Counter("segstore_segments_answered_total",
+		"Segments whose partial aggregate was answered from the footer (chunks never decoded).")
 	mSegmentsScanned = telemetry.Default().Counter("segstore_segments_scanned_total",
 		"Segments whose column chunks were decoded for a scan.")
 	mBytesDecoded = telemetry.Default().Counter("segstore_bytes_decoded_total",
@@ -29,6 +31,7 @@ var (
 var metricNames = []string{
 	"segstore_segments_written_total",
 	"segstore_segments_pruned_total",
+	"segstore_segments_answered_total",
 	"segstore_segments_scanned_total",
 	"segstore_bytes_decoded_total",
 	"segstore_compactions_total",

@@ -102,8 +102,8 @@ type manifestSeg struct {
 }
 
 // Store is an open segment store for one relation. It implements
-// engine.ScanSource and engine.SegmentLister; all methods are safe for
-// concurrent use.
+// engine.ScanSource, engine.SegmentLister and engine.FooterAnswerer;
+// all methods are safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
@@ -124,8 +124,9 @@ type Store struct {
 }
 
 var (
-	_ engine.ScanSource    = (*Store)(nil)
-	_ engine.SegmentLister = (*Store)(nil)
+	_ engine.ScanSource     = (*Store)(nil)
+	_ engine.SegmentLister  = (*Store)(nil)
+	_ engine.FooterAnswerer = (*Store)(nil)
 )
 
 // Open opens (or creates) the store in dir. A zero-length schema adopts
@@ -528,6 +529,28 @@ func (st *Store) Segments(pd engine.Pushdown) ([]engine.SegmentRef, error) {
 	return refs, nil
 }
 
+// AnswerSegments implements engine.FooterAnswerer: the refs Segments
+// returns, with Answer and AnswerBytes set on each live segment whose
+// footer pins its partial-aggregate row (aggmeta.go). Pushed filters disable answers:
+// a filter may drop rows the footer counts.
+func (st *Store) AnswerSegments(pd engine.Pushdown, groupBy []string, aggs []engine.AggSpec) ([]engine.SegmentRef, error) {
+	refs, err := st.Segments(pd)
+	if err != nil || len(pd.Filters) > 0 {
+		return refs, err
+	}
+	for i := range refs {
+		foot, err := st.loadFooter(refs[i].Path)
+		if err != nil {
+			return nil, err
+		}
+		if row, payload, ok := footerPartial(foot, refs[i].Cols, groupBy, aggs); ok {
+			refs[i].Answer, refs[i].AnswerBytes = row, payload
+			mSegmentsAnswered.Inc()
+		}
+	}
+	return refs, nil
+}
+
 // loadFooter returns the segment's footer for pruning, cached per path
 // (segments are immutable, so a footer never goes stale).
 func (st *Store) loadFooter(path string) (*footer, error) {
@@ -555,16 +578,20 @@ func (st *Store) loadFooter(path string) (*footer, error) {
 }
 
 // Scan implements engine.ScanSource: one partition per committed
-// segment, pruned segments as empty partitions (partition indexes stay
-// stable either way), columns restricted to pd.Cols when non-nil. The
-// live segments decode in parallel on a GOMAXPROCS-sized worker pool
+// segment (per pd.Segments ref when the caller pinned a snapshot),
+// pruned and answered segments as empty partitions (partition indexes
+// stay stable either way), columns restricted to pd.Cols when
+// non-nil. The live segments decode in parallel on a GOMAXPROCS-sized worker pool
 // (the engine.Local default), each straight into its own partition; the
 // result and the error reported are those of a serial scan in manifest
 // order.
 func (st *Store) Scan(ctx context.Context, pd engine.Pushdown) (*relation.Relation, error) {
-	refs, err := st.Segments(pd)
-	if err != nil {
-		return nil, err
+	var err error
+	refs := pd.Segments
+	if refs == nil {
+		if refs, err = st.Segments(pd); err != nil {
+			return nil, err
+		}
 	}
 	scanSchema := st.Schema()
 	if pd.Cols != nil {
@@ -579,7 +606,7 @@ func (st *Store) Scan(ctx context.Context, pd engine.Pushdown) (*relation.Relati
 			return err
 		}
 		ref := refs[i]
-		if ref.Pruned {
+		if ref.Skip() {
 			return nil
 		}
 		s, rows, err := ReadSegmentRows(ref.Path, ref.Cols)

@@ -32,6 +32,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -150,6 +151,9 @@ type StatsJSON struct {
 	RowsOut int     `json:"rows_out"`
 	Tasks   int     `json:"tasks"`
 	WallMS  float64 `json:"wall_ms"`
+	// SegmentsAnswered counts segments an aggregate took from the
+	// segment footers without decoding (engine.ScanAggregate).
+	SegmentsAnswered int `json:"segments_answered"`
 }
 
 // httpError carries a status code out of the query path.
@@ -363,6 +367,8 @@ func render(res *query.Result) *Response {
 			RowsOut: res.Stats.RowsOut,
 			Tasks:   res.Stats.Tasks,
 			WallMS:  float64(res.Stats.Wall) / float64(time.Millisecond),
+
+			SegmentsAnswered: res.Stats.SegmentsAnswered,
 		},
 	}
 }
@@ -422,6 +428,33 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Request body limits. A statement is short; an ingest batch becomes
+// one segment, and 32 MiB of JSON rows is far past any batch the tests
+// or benchmarks send. A longer body fails its request with 413; the
+// server keeps serving.
+const (
+	maxQueryBody  = 1 << 20
+	maxIngestBody = 32 << 20
+)
+
+// decodeBody decodes the JSON request body, read through an
+// http.MaxBytesReader of limit bytes, into v. On failure it has already
+// replied — 413 for an oversized body, 400 for a malformed one — and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		http.Error(w, fmt.Sprintf("request body over %d bytes", limit), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	return false
+}
+
 type queryRequest struct {
 	Tenant string `json:"tenant"`
 	SQL    string `json:"sql"`
@@ -433,8 +466,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxQueryBody, &req) {
 		return
 	}
 	nocache := r.URL.Query().Get("nocache") == "1"
@@ -471,8 +503,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxIngestBody, &req) {
 		return
 	}
 	st, err := s.Catalog.Store(req.Tenant, req.Relation)

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -445,5 +447,80 @@ func TestLRU(t *testing.T) {
 func TestVerifyMetrics(t *testing.T) {
 	if err := VerifyMetrics(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An aggregate over single-valued segments reports the segments its
+// footers answered; a filtered one decodes and reports none.
+func TestServeReportsAnsweredSegments(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "trace")
+	seedStore(t, dir)
+	s := newTestServer(t, map[string]*TenantConfig{
+		"acme": {Relations: map[string]string{"trace": dir}},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := httpClient{t, ts.URL}
+
+	resp := c.query("acme", "SELECT sid, count(*) AS n, min(val) AS lo, max(ts) AS hi FROM trace GROUP BY sid ORDER BY sid")
+	if resp.Stats.SegmentsAnswered != 3 || resp.Stats.RowsIn != 0 || resp.RowCount != 3 {
+		t.Fatalf("stats %+v, %d rows; want 3 segments answered, none read, 3 rows", resp.Stats, resp.RowCount)
+	}
+	if got := fmt.Sprint(resp.Rows[2]); got != "[s2 10 100 209]" {
+		t.Fatalf("row for s2 = %s, want [s2 10 100 209]", got)
+	}
+	resp = c.query("acme", "SELECT sid, count(*) AS n FROM trace WHERE ts >= 0 GROUP BY sid")
+	if resp.Stats.SegmentsAnswered != 0 || resp.Stats.RowsIn == 0 {
+		t.Fatalf("filtered aggregate stats %+v; want nothing answered, rows read", resp.Stats)
+	}
+}
+
+// endless is an io.Reader of repeated bytes that never ends.
+type endless byte
+
+func (e endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(e)
+	}
+	return len(p), nil
+}
+
+// An oversized body fails its request with 413; the server goes on
+// serving the next one.
+func TestServeBodyLimits(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "trace")
+	seedStore(t, dir)
+	s := newTestServer(t, map[string]*TenantConfig{
+		"acme": {Relations: map[string]string{"trace": dir}},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := httpClient{t, ts.URL}
+
+	long := "SELECT ts FROM trace WHERE sid == \"" + string(bytes.Repeat([]byte{'x'}, maxQueryBody)) + "\""
+	if code, body := c.post("/query", queryRequest{Tenant: "acme", SQL: long}); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /query: HTTP %d (want 413): %.200s", code, body)
+	}
+	if resp := c.query("acme", "SELECT ts FROM trace WHERE ts < 5"); resp.RowCount != 5 {
+		t.Fatalf("query after the oversized one: %d rows, want 5", resp.RowCount)
+	}
+
+	// An /ingest body that never ends stops at the limit. It goes to the
+	// handler directly, so the client never has to push it over a socket
+	// the server has stopped reading.
+	prefix := `{"tenant":"acme","relation":"trace","rows":[`
+	body := io.MultiReader(strings.NewReader(prefix), endless(' '))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /ingest: HTTP %d (want 413): %.200s", rec.Code, rec.Body)
+	}
+	code, out := c.post("/ingest", ingestRequest{Tenant: "acme", Relation: "trace",
+		Rows: [][]any{{300, 150.0, "s3"}}})
+	if code != http.StatusOK {
+		t.Fatalf("ingest after the oversized one: HTTP %d: %s", code, out)
+	}
+	if resp := c.query("acme", "SELECT ts FROM trace WHERE ts >= 300"); resp.RowCount != 1 {
+		t.Fatalf("ingested row not served: %d rows, want 1", resp.RowCount)
 	}
 }

@@ -203,10 +203,10 @@ func validateLabels(s string) (end int, err error) {
 
 func TestFormatValue(t *testing.T) {
 	cases := map[float64]string{
-		0:          "0",
-		3:          "3",
-		2.5:        "2.5",
-		-1:         "-1",
+		0:           "0",
+		3:           "3",
+		2.5:         "2.5",
+		-1:          "-1",
 		math.Inf(1): "+Inf",
 	}
 	for in, want := range cases {
