@@ -35,7 +35,7 @@ fmt-check:
 check: build fmt-check vet vet-metrics test race
 
 # Differential correctness runs, one entry point for every family:
-#   make difftest FAMILY=<core|spill|shuffle|scan|query|compact> DIFFTEST_N=<n>
+#   make difftest FAMILY=<core|spill|shuffle|scan|query|compact|interp> DIFFTEST_N=<n>
 # Each family runs DIFFTEST_N seeded workloads against its invariants
 # (docs/TESTING.md):
 #   core     the oracle, the local executor and a real TCP cluster agree,
@@ -52,6 +52,9 @@ check: build fmt-check vet vet-metrics test race
 #            the oracle bitwise (docs/QUERY.md)
 #   compact  raw, dict/RLE-encoded and compacted stores scan bitwise-equal
 #            (docs/STORAGE.md)
+#   interp   interp.Extract over generated SYN/LIG catalogs matches the
+#            oracle's relational plan bitwise, preselection on and off,
+#            in-process and over TCP (docs/TESTING.md)
 # Every family but core is race-checked. Reproduce a reported seed with
 #   go test ./internal/difftest/ -run <pattern> -difftest.seed=<seed> -v
 # (plus -difftest.shuffle / .scan / .query / .encoding for those
@@ -66,15 +69,17 @@ DIFFTEST_RUN_shuffle := ShuffleDifferential
 DIFFTEST_RUN_scan := ScanDifferential
 DIFFTEST_RUN_query := QueryDifferential
 DIFFTEST_RUN_compact := CompactDifferential
+DIFFTEST_RUN_interp := InterpDifferential
 DIFFTEST_RACE_core :=
 DIFFTEST_RACE_spill := -race
 DIFFTEST_RACE_shuffle := -race
 DIFFTEST_RACE_scan := -race
 DIFFTEST_RACE_query := -race
 DIFFTEST_RACE_compact := -race
+DIFFTEST_RACE_interp := -race
 DIFFTEST_FLAGS_spill := -difftest.membudget=$(SPILL_BUDGET)
 difftest:
-	$(if $(DIFFTEST_RUN_$(FAMILY)),,$(error unknown FAMILY=$(FAMILY); want one of core spill shuffle scan query compact))
+	$(if $(DIFFTEST_RUN_$(FAMILY)),,$(error unknown FAMILY=$(FAMILY); want one of core spill shuffle scan query compact interp))
 	$(GO) test $(DIFFTEST_RACE_$(FAMILY)) ./internal/difftest/ -run $(DIFFTEST_RUN_$(FAMILY)) -v -difftest.n=$(DIFFTEST_N) $(DIFFTEST_FLAGS_$(FAMILY))
 
 # Short fuzz pass over every fuzz target, seeded from the checked-in
@@ -99,7 +104,7 @@ fuzz-smoke:
 # clobbers another's).
 bench: build
 	$(GO) test -run NONE -bench 'BenchmarkEncode|BenchmarkDecode' -benchtime 0.5s ./internal/colcodec/
-	$(GO) test -run NONE -bench 'BenchmarkBroadcastJoinStage|BenchmarkRuleCacheParallel|BenchmarkEvalRuleParallel' -benchtime 0.5s ./internal/engine/
+	$(GO) test -run NONE -bench 'BenchmarkInterpretStage' -benchtime 0.5s ./internal/engine/
 	$(GO) test -run NONE -bench 'BenchmarkFusedPipeline|BenchmarkBroadcastJoinVec|BenchmarkSortWithin' -benchtime 0.5s ./internal/engine/
 	$(GO) test -run NONE -bench 'BenchmarkClusterStage' -benchtime 0.5s ./internal/cluster/
 	$(GO) run ./cmd/benchmark -exp wire -out BENCH_engine.json

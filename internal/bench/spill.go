@@ -118,14 +118,14 @@ func Spill(opts SpillOptions) ([]*SpillResult, error) {
 			Workload:      w.Name,
 			Rows:          opts.Rows,
 			Budget:        budget,
-			InMemNsPerRow: inMemNs,
-			SpillNsPerRow: spillNs,
+			InMemNsPerRow: inMemNs.P50,
+			SpillNsPerRow: spillNs.P50,
 			SpillEvents:   events,
 			SpillBytes:    bytes,
 			HighWater:     g.HighWater(),
 		}
-		if inMemNs > 0 {
-			r.Slowdown = spillNs / inMemNs
+		if inMemNs.P50 > 0 {
+			r.Slowdown = spillNs.P50 / inMemNs.P50
 		}
 		results = append(results, r)
 	}

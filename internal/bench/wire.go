@@ -12,7 +12,9 @@ import (
 	"ivnt/internal/colcodec"
 	"ivnt/internal/engine"
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
 	"ivnt/internal/telemetry"
+	"ivnt/internal/trace"
 )
 
 // WireOptions tune the wire-protocol experiment.
@@ -108,48 +110,38 @@ type v2ResultMsg struct {
 // with a unit/rule table, then per-row rule evaluation — Algorithm 1's
 // interpretation join, the stage the v3 protocol was built for.
 func wireStage(opts WireOptions) (*relation.Relation, []engine.OpDesc) {
-	streamSchema := relation.NewSchema(
-		relation.Column{Name: "t", Kind: relation.KindFloat},
-		relation.Column{Name: "mid", Kind: relation.KindInt},
-		relation.Column{Name: "x", Kind: relation.KindInt},
-	)
 	rows := make([]relation.Row, opts.Rows)
 	for i := range rows {
+		x := uint16(i%4096 - 2048)
 		rows[i] = relation.Row{
 			relation.Float(float64(i) * 0.01),
+			relation.Str("FC"),
 			relation.Int(int64(i % opts.TableRows)),
-			relation.Int(int64(i%4096) - 2048),
+			relation.Bytes([]byte{byte(x), byte(x >> 8)}),
 		}
 	}
+	streamSchema := relation.NewSchema(
+		relation.Column{Name: trace.ColT, Kind: relation.KindFloat},
+		relation.Column{Name: trace.ColBID, Kind: relation.KindString},
+		relation.Column{Name: trace.ColMID, Kind: relation.KindInt},
+		relation.Column{Name: trace.ColL, Kind: relation.KindBytes},
+	)
 	rel := relation.FromRows(streamSchema, rows).Repartition(opts.Partitions)
 
-	tableSchema := relation.NewSchema(
-		relation.Column{Name: "mid", Kind: relation.KindInt},
-		relation.Column{Name: "name", Kind: relation.KindString},
-		relation.Column{Name: "rule", Kind: relation.KindString},
-	)
-	trows := make([]relation.Row, opts.TableRows)
-	for i := range trows {
-		trows[i] = relation.Row{
-			relation.Int(int64(i)),
-			relation.Str(fmt.Sprintf("unit-%03d/signal-channel-%d", i, i%7)),
-			relation.Str(fmt.Sprintf("x * %d.0 / 128.0 + %d.0", i%13+1, i%29)),
+	ts := make([]rules.Translation, opts.TableRows)
+	for i := range ts {
+		ts[i] = rules.Translation{
+			SID:     fmt.Sprintf("unit-%03d/signal-channel-%d", i, i%7),
+			Channel: "FC", MsgID: uint32(i), FirstByte: 0, LastByte: 1,
+			Rule: fmt.Sprintf("slbits(lrel, 0, 16) * %d.0 / 128.0 + %d.0", i%13+1, i%29),
 		}
 	}
-	small := relation.FromRows(tableSchema, trows)
-
-	// Join, evaluate, then project down to the interpreted signal stream
-	// — the rule/name columns exist only to drive evaluation and never
-	// travel back, exactly as in Algorithm 1's interpretation step.
-	ops := []engine.OpDesc{
-		engine.BroadcastJoin(small, []string{"mid"}, []string{"mid"}),
-		engine.EvalRule("v", relation.KindFloat, "rule"),
-		engine.Project("t", "mid", "v"),
-	}
-	return rel, ops
+	// Interpretation: the payload and rule text exist only to drive
+	// evaluation and never travel back; results are K_s rows.
+	return rel, []engine.OpDesc{engine.Interpret(ts)}
 }
 
-// Wire runs the broadcast-join stage once over a loopback cluster with
+// Wire runs the interpretation stage once over a loopback cluster with
 // protocol v3 and compares measured bytes per task against the
 // simulated v2 baseline for the identical stage.
 func Wire(ctx context.Context, opts WireOptions) (*WireResult, error) {
@@ -278,7 +270,7 @@ func WireCodec(opts WireOptions) (*WireCodecResult, error) {
 // FormatWire renders wire results as an aligned table.
 func FormatWire(results []*WireResult) string {
 	var b strings.Builder
-	b.WriteString("Wire: protocol v3 (stage-once + columnar) vs simulated v2 (per-task gob), broadcast-join stage\n")
+	b.WriteString("Wire: protocol v3 (stage-once + columnar) vs simulated v2 (per-task gob), interpretation stage\n")
 	fmt.Fprintf(&b, "%9s %6s %9s %14s %14s %10s %8s %12s %12s %9s %9s %9s\n",
 		"compress", "tasks", "stages", "v2 B/task", "v3 B/task", "reduction", "wall[s]", "enc ns/row", "dec ns/row",
 		"p50[ms]", "p95[ms]", "p99[ms]")

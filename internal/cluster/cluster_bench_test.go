@@ -7,46 +7,32 @@ import (
 
 	"ivnt/internal/engine"
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
 )
 
-// benchStage is the wire benchmark's broadcast-join stage at a small
+// benchStage is the wire benchmark's interpretation stage at a small
 // fixed size, reused across cluster benchmark variants.
 func benchStage() (*relation.Relation, []engine.OpDesc) {
 	const nRows, nParts, nTable = 8000, 8, 128
-	streamSchema := relation.NewSchema(
-		relation.Column{Name: "t", Kind: relation.KindFloat},
-		relation.Column{Name: "mid", Kind: relation.KindInt},
-		relation.Column{Name: "x", Kind: relation.KindInt},
-	)
 	rows := make([]relation.Row, nRows)
 	for i := range rows {
 		rows[i] = relation.Row{
 			relation.Float(float64(i) * 0.01),
 			relation.Int(int64(i % nTable)),
-			relation.Int(int64(i % 4096)),
+			relation.Bytes([]byte{byte(i), byte(i >> 8)}),
+			relation.Str("FC"),
 		}
 	}
-	rel := relation.FromRows(streamSchema, rows).Repartition(nParts)
-	tableSchema := relation.NewSchema(
-		relation.Column{Name: "mid", Kind: relation.KindInt},
-		relation.Column{Name: "rule", Kind: relation.KindString},
-	)
-	trows := make([]relation.Row, nTable)
-	for i := range trows {
-		trows[i] = relation.Row{
-			relation.Int(int64(i)),
-			relation.Str(fmt.Sprintf("x * %d + %d", i%13+1, i%29)),
-		}
+	rel := relation.FromRows(traceRel(0, 1).Schema, rows).Repartition(nParts)
+	ts := make([]rules.Translation, nTable)
+	for i := range ts {
+		ts[i] = rules.Translation{SID: fmt.Sprintf("s%d", i), Channel: "FC", MsgID: uint32(i),
+			FirstByte: 0, LastByte: 1, Rule: fmt.Sprintf("ulbits(lrel, 0, 16) * %d + %d", i%13+1, i%29)}
 	}
-	small := relation.FromRows(tableSchema, trows)
-	return rel, []engine.OpDesc{
-		engine.BroadcastJoin(small, []string{"mid"}, []string{"mid"}),
-		engine.EvalRule("v", relation.KindInt, "rule"),
-		engine.Project("t", "mid", "v"),
-	}
+	return rel, []engine.OpDesc{engine.Interpret(ts)}
 }
 
-// BenchmarkClusterStage round-trips the broadcast-join stage over a
+// BenchmarkClusterStage round-trips the interpretation stage over a
 // loopback cluster with the v3 protocol. Bytes on the wire per task are
 // reported as a metric; stage shipping is amortized across iterations
 // (executor pipelines are cached per connection).

@@ -15,6 +15,7 @@ import (
 
 	"ivnt/internal/engine"
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
 )
 
 func traceRel(n, parts int) *relation.Relation {
@@ -22,6 +23,7 @@ func traceRel(n, parts int) *relation.Relation {
 		relation.Column{Name: "t", Kind: relation.KindFloat},
 		relation.Column{Name: "mid", Kind: relation.KindInt},
 		relation.Column{Name: "l", Kind: relation.KindBytes},
+		relation.Column{Name: "bid", Kind: relation.KindString},
 	)
 	rows := make([]relation.Row, n)
 	for i := range rows {
@@ -29,9 +31,18 @@ func traceRel(n, parts int) *relation.Relation {
 			relation.Float(float64(i) * 0.1),
 			relation.Int(int64(3 + i%2)),
 			relation.Bytes([]byte{byte(i % 5), byte(i % 3)}),
+			relation.Str("FC"),
 		}
 	}
 	return relation.FromRows(s, rows).Repartition(parts)
+}
+
+// wiperTranslations interpret traceRel's two message ids.
+func wiperTranslations() []rules.Translation {
+	return []rules.Translation{
+		{SID: "wpos", Channel: "FC", MsgID: 3, FirstByte: 0, LastByte: 1, Rule: "byteat(lrel, 0)"},
+		{SID: "wvel", Channel: "FC", MsgID: 4, FirstByte: 0, LastByte: 1, Rule: "byteat(lrel, 1) * 2"},
+	}
 }
 
 func stageOps() []engine.OpDesc {
@@ -129,21 +140,7 @@ func TestClusterBroadcastJoin(t *testing.T) {
 	}
 	defer stop()
 
-	small := relation.FromRows(
-		relation.NewSchema(
-			relation.Column{Name: "rmid", Kind: relation.KindInt},
-			relation.Column{Name: "sid", Kind: relation.KindString},
-			relation.Column{Name: "rule", Kind: relation.KindString},
-		),
-		[]relation.Row{
-			{relation.Int(3), relation.Str("wpos"), relation.Str("byteat(l, 0)")},
-			{relation.Int(4), relation.Str("wvel"), relation.Str("byteat(l, 1) * 2")},
-		},
-	)
-	ops := []engine.OpDesc{
-		engine.BroadcastJoin(small, []string{"mid"}, []string{"rmid"}),
-		engine.EvalRule("v", relation.KindFloat, "rule"),
-	}
+	ops := []engine.OpDesc{engine.Interpret(wiperTranslations())}
 	rel := traceRel(100, 4)
 	drv := &Driver{Addrs: addrs}
 	got, _, err := drv.RunStage(ctx, rel, ops)
@@ -155,13 +152,17 @@ func TestClusterBroadcastJoin(t *testing.T) {
 	}
 	sidIdx := got.Schema.MustIndex("sid")
 	vIdx := got.Schema.MustIndex("v")
-	lIdx := got.Schema.MustIndex("l")
+	payload := map[float64][]byte{}
+	for _, r := range rel.Rows() {
+		payload[r[0].F] = r[2].B
+	}
 	for _, r := range got.Rows() {
+		l := payload[r[0].F]
 		var want int64
 		if r[sidIdx].AsString() == "wpos" {
-			want = int64(r[lIdx].B[0])
+			want = int64(l[0])
 		} else {
-			want = int64(r[lIdx].B[1]) * 2
+			want = int64(l[1]) * 2
 		}
 		if r[vIdx].AsInt() != want {
 			t.Fatalf("interpreted %v, want %d (%v)", r[vIdx], want, r)
@@ -180,17 +181,9 @@ func TestClusterTaskErrorAborts(t *testing.T) {
 
 	// A per-row rule that fails to compile is a deterministic task
 	// error: no retry, stage aborts.
-	small := relation.FromRows(
-		relation.NewSchema(
-			relation.Column{Name: "rmid", Kind: relation.KindInt},
-			relation.Column{Name: "rule", Kind: relation.KindString},
-		),
-		[]relation.Row{{relation.Int(3), relation.Str("byteat(")}},
-	)
-	ops := []engine.OpDesc{
-		engine.BroadcastJoin(small, []string{"mid"}, []string{"rmid"}),
-		engine.EvalRule("v", relation.KindFloat, "rule"),
-	}
+	ops := []engine.OpDesc{engine.Interpret([]rules.Translation{
+		{SID: "bad", Channel: "FC", MsgID: 3, FirstByte: 0, LastByte: 0, Rule: "byteat("},
+	})}
 	drv := &Driver{Addrs: addrs}
 	if _, _, err := drv.RunStage(ctx, traceRel(50, 4), ops); err == nil {
 		t.Fatal("expected task error to abort stage")
@@ -610,21 +603,7 @@ func TestClusterMatchesLocalCompressed(t *testing.T) {
 	}
 	defer stop()
 
-	small := relation.FromRows(
-		relation.NewSchema(
-			relation.Column{Name: "rmid", Kind: relation.KindInt},
-			relation.Column{Name: "sid", Kind: relation.KindString},
-			relation.Column{Name: "rule", Kind: relation.KindString},
-		),
-		[]relation.Row{
-			{relation.Int(3), relation.Str("wpos"), relation.Str("byteat(l, 0)")},
-			{relation.Int(4), relation.Str("wvel"), relation.Str("byteat(l, 1) * 2")},
-		},
-	)
-	ops := []engine.OpDesc{
-		engine.BroadcastJoin(small, []string{"mid"}, []string{"rmid"}),
-		engine.EvalRule("v", relation.KindFloat, "rule"),
-	}
+	ops := []engine.OpDesc{engine.Interpret(wiperTranslations())}
 	rel := traceRel(600, 7)
 	want, _, err := engine.NewLocal(2).RunStage(ctx, rel, ops)
 	if err != nil {

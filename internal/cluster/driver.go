@@ -504,7 +504,7 @@ func (d *Driver) stageWire(schema relation.Schema, ops []engine.OpDesc) (shipmen
 	seenTables := map[uint64]bool{}
 	for i, op := range ops {
 		sh.ops[i] = op
-		if op.Kind != engine.OpBroadcastJoin || op.Join == nil {
+		if op.Join == nil {
 			continue
 		}
 		th := engine.TableFingerprint(op.Join.Schema, op.Join.Rows)

@@ -433,7 +433,7 @@ func (s *ExecutorServer) registerStage(st *stageMsg, tables map[uint64][]relatio
 	ops := make([]engine.OpDesc, len(st.Ops))
 	copy(ops, st.Ops)
 	for i, op := range ops {
-		if op.Kind != engine.OpBroadcastJoin || op.Join == nil || op.Join.Rows != nil {
+		if op.Join == nil || op.Join.Rows != nil {
 			continue
 		}
 		rows, ok := tables[op.Join.TableHash]

@@ -193,6 +193,10 @@ type shuffleBeginMsg struct {
 	// PushTimeoutMs bounds one peer push round trip (chunk write + ack
 	// read) on the map side. 0 means the executor default.
 	PushTimeoutMs int64
+	// AggRoute routes map output by engine.AggSplit (aggregate partials,
+	// grouped by key rendering) instead of engine.ShuffleSplit.
+	// Gob-additive within protocol v4.
+	AggRoute bool
 }
 
 type shuffleBeginAck struct {

@@ -79,6 +79,7 @@ type shuffleSession struct {
 	id        uint64
 	parts     int
 	keys      []string
+	aggRoute  bool            // route by engine.AggSplit (aggregate partials)
 	schema    relation.Schema // map output = push payload schema
 	endpoints []string
 	sources   []uint64 // all map task ids (input partition indexes)
@@ -153,6 +154,7 @@ func (ss *shuffleSession) beginMsg() *shuffleBeginMsg {
 		Schema:        ss.schema,
 		Compress:      ss.d.Compress,
 		PushTimeoutMs: pushMs,
+		AggRoute:      ss.aggRoute,
 	}
 }
 
@@ -604,6 +606,7 @@ func (d *Driver) ShuffleAggregate(ctx context.Context, rel *relation.Relation, g
 		return nil, engine.Stats{}, err
 	}
 	defer ss.free()
+	ss.aggRoute = true
 	// The finals' schema: what MergePartials produces from the partial
 	// schema — computed driver-side on an empty relation.
 	emptyPartials := &relation.Relation{Schema: ss.schema}

@@ -143,7 +143,7 @@ func (s *ExecutorServer) runShuffleMap(stages map[uint64]*engine.StagePipeline, 
 			return fail(err), false
 		}
 	}
-	split := engine.ShuffleSplit(out, st.keyIdx, st.parts)
+	split := st.split(out, st.keyIdx, st.parts)
 	limited := !memgov.Default().Unlimited()
 	for p, bucket := range split {
 		ack.Rows += int64(len(bucket))

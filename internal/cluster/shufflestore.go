@@ -36,6 +36,7 @@ type shuffleState struct {
 	parts     int
 	keys      []string
 	keyIdx    []int
+	split     func([]relation.Row, []int, int) [][]relation.Row // engine.ShuffleSplit or engine.AggSplit
 	schema    relation.Schema
 	compress  bool
 	pushTO    time.Duration
@@ -287,10 +288,14 @@ func (ss *shuffleStore) begin(msg *shuffleBeginMsg, defaultPushTO time.Duration)
 		parts:     msg.Parts,
 		keys:      append([]string(nil), msg.Keys...),
 		keyIdx:    keyIdx,
+		split:     engine.ShuffleSplit,
 		schema:    msg.Schema,
 		compress:  msg.Compress,
 		pushTO:    pushTO,
 		runs:      map[int]map[uint64]*shuffleRunData{},
+	}
+	if msg.AggRoute {
+		st.split = engine.AggSplit
 	}
 	ss.shuffles[msg.ID] = st
 	return st, nil

@@ -19,6 +19,7 @@ import (
 
 	"ivnt/internal/engine"
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
 )
 
 // Workload is one generated differential test case: a typed relation
@@ -69,8 +70,12 @@ func FormatOps(ops []engine.OpDesc) string {
 				fmt.Fprintf(&b, "%s:%s = ", op.Col, op.ColKind)
 			}
 			b.WriteString(op.Expr)
-		case engine.OpEvalRule:
-			fmt.Fprintf(&b, "%s:%s = eval(%s)", op.Col, op.ColKind, op.RuleCol)
+		case engine.OpInterpret:
+			j := op.Join
+			fmt.Fprintf(&b, "on %v=%v table[%d rows]", j.LeftKeys, j.RightKeys, len(j.Rows))
+			for _, r := range j.Rows {
+				fmt.Fprintf(&b, "\n%22s%s", "", fmtRow(r))
+			}
 		case engine.OpProject, engine.OpDedupConsecutive, engine.OpSortWithin:
 			b.WriteString(strings.Join(op.Cols, ", "))
 		case engine.OpBroadcastJoin:
@@ -110,7 +115,8 @@ type gen struct {
 	usedWindow  bool
 	hasDedup    bool
 
-	derived, rules, joins int // fresh-name counters
+	derived, joins int  // fresh-name counters
+	interpreted    bool // OpInterpret's output names are fixed: once per workload
 }
 
 var wordPool = []string{"amber", "brake", "cruise", "door", "ecu", "flash", "gear", "horn"}
@@ -275,7 +281,7 @@ func (g *gen) genOps(in relation.Schema) []engine.OpDesc {
 			g.derived++
 			push(g.genAddColumn(name))
 		case 5:
-			for _, op := range g.genEvalRule() {
+			for _, op := range g.genInterpret() {
 				push(op)
 			}
 		case 6:
@@ -335,28 +341,59 @@ func (g *gen) genAddColumn(name string) engine.OpDesc {
 	}
 }
 
-// genEvalRule emits an AddColumn holding per-row rule source text (an
-// iff over 2..3 candidate rules, sometimes including the empty rule)
-// followed by the EvalRule that executes it. Rules are numeric
-// expressions without string literals (they must embed inside a quoted
-// literal) and without window functions.
-func (g *gen) genEvalRule() []engine.OpDesc {
-	ruleCol := fmt.Sprintf("r%d", g.rules)
-	outCol := fmt.Sprintf("re%d", g.rules)
-	g.rules++
-	ruleA := g.genExpr(tNum, 2, exprOpts{noStr: true})
-	ruleB := g.genExpr(tNum, 1, exprOpts{noStr: true})
-	if g.rng.Float64() < 0.3 {
-		ruleB = "" // exercises the empty-rule → null path
+// interpRules are the u₂ rule shapes genInterpret draws from: numeric
+// bit extractions, a value-table lookup and the empty rule (→ null).
+var interpRules = []string{
+	"ubits(lrel, 0, 8) * 0.5",
+	"sbits(lrel, 4, 12) + 1.0",
+	"byteat(lrel, 1)",
+	"lookup(ubits(lrel, 0, 2), '0=off;1=on')",
+	"",
+}
+
+// genInterpret derives K_b's columns (t, bid, mid, l) from the current
+// schema and interprets them under a small random translation table:
+// duplicate (bid, mid) keys fan out, unmatched keys drop rows, and byte
+// ranges past a short payload make u₁ null. It needs a bytes column
+// for l and, since its output names are fixed, runs once per workload.
+func (g *gen) genInterpret() []engine.OpDesc {
+	if g.interpreted {
+		return nil
 	}
-	cond := g.genExpr(tBool, 1, exprOpts{noStr: true})
-	src := fmt.Sprintf("iff(%s, %q, %q)", cond, ruleA, ruleB)
-	g.meta[ruleCol] = colMeta{}
-	g.meta[outCol] = colMeta{numericSafe: true}
-	return []engine.OpDesc{
-		engine.AddColumn(ruleCol, relation.KindString, src),
-		engine.EvalRule(outCol, relation.KindFloat, ruleCol),
+	payload := g.colsWhere(func(name string) bool { return g.cur.Cols[g.cur.Index(name)].Kind == relation.KindBytes })
+	if len(payload) == 0 {
+		return nil
 	}
+	g.interpreted = true
+	channels := []string{"amber", "brake"}
+	ts := make([]rules.Translation, 1+g.rng.Intn(5))
+	sids := make([]relation.Value, len(ts))
+	numeric := true
+	for i := range ts {
+		first := g.rng.Intn(5)
+		ts[i] = rules.Translation{
+			SID:     fmt.Sprintf("s%d", i),
+			Channel: channels[g.rng.Intn(2)], MsgID: uint32(1 + g.rng.Intn(2)),
+			FirstByte: first, LastByte: first + g.rng.Intn(4),
+			Rule: interpRules[g.rng.Intn(len(interpRules))],
+		}
+		sids[i] = relation.Str(ts[i].SID)
+		numeric = numeric && !strings.HasPrefix(ts[i].Rule, "lookup")
+	}
+	ops := []engine.OpDesc{
+		engine.AddColumn("t", relation.KindFloat, g.genExpr(tNum, 1, exprOpts{})),
+		engine.AddColumn("bid", relation.KindString, fmt.Sprintf("iff(%s, 'amber', 'brake')", g.genExpr(tBool, 1, exprOpts{}))),
+		engine.AddColumn("mid", relation.KindInt, fmt.Sprintf("iff(%s, 1, 2)", g.genExpr(tBool, 1, exprOpts{}))),
+		engine.AddColumn("l", relation.KindBytes, payload[g.rng.Intn(len(payload))]),
+		engine.Interpret(ts),
+	}
+	g.meta["t"] = colMeta{numericSafe: true}
+	g.meta["sid"] = colMeta{keyable: true}
+	g.pools["sid"] = sids
+	g.meta["v"] = colMeta{numericSafe: numeric}
+	g.meta["bid"] = colMeta{keyable: true}
+	g.pools["bid"] = []relation.Value{relation.Str(channels[0]), relation.Str(channels[1])}
+	return ops
 }
 
 // genJoin builds a broadcast join on 1..2 keyable columns. Table key

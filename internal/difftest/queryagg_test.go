@@ -6,8 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"testing"
 
 	"ivnt/internal/engine"
+	"ivnt/internal/memgov"
 	"ivnt/internal/oracle"
 	"ivnt/internal/query"
 	"ivnt/internal/relation"
@@ -215,4 +217,50 @@ func (e *Env) checkQueryAgg(ctx context.Context, w *Workload, dir string) ([]str
 		}
 	}
 	return fails, answered
+}
+
+// TestQueryAggShufflePlanGroupsByRendering replays query-family seed 4
+// under a 4 KiB memory budget, where its GROUP BY takes the shuffle
+// plan. The key column holds a null and an empty string, which the
+// merge and the oracle group together, so the shuffle must route them
+// to one partition; typed-hash routing once split that group in two.
+func TestQueryAggShufflePlanGroupsByRendering(t *testing.T) {
+	g := memgov.Default()
+	old := g.Budget()
+	g.SetBudget(4 << 10)
+	defer g.SetBudget(old)
+	ctx := context.Background()
+	w := Generate(4)
+	key := stringCol(w)
+	sql := fmt.Sprintf("SELECT %s, count(*) AS n FROM trace GROUP BY %s ORDER BY %s", key, key, key)
+	plan, err := compileFor(w, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := buildScanStore(filepath.Join(t.TempDir(), "s"), w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := st.Scan(ctx, engine.Pushdown{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := oracle.FinalAggregate(full.Schema, full.Rows(), plan.GroupBy, plan.Aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.SortRelation(ref, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := query.Run(ctx, engine.NewLocal(2), storeSources{st}, plan, engine.PlanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PlanKind != engine.PlanShuffle {
+		t.Fatalf("plan = %v, want the shuffle plan under a 4 KiB budget", res.PlanKind)
+	}
+	if d := diffRowsInOrder(want, res.Rel); d != "" {
+		t.Fatal(Report(w, "query-agg-shuffle-rendering", d+"\n  statement: "+sql))
+	}
 }

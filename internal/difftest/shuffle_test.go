@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -162,6 +163,7 @@ func (e *Env) checkShuffle(ctx context.Context, w *Workload) []string {
 		fail("shuffle-agg-pre", err.Error())
 		return fails
 	}
+	collideKeys(pre, groupBy, w.Seed)
 	wantAgg, err := engine.AggregateDistributed(ctx, e.Local, pre, groupBy, aggs)
 	if err != nil {
 		fail("shuffle-agg-ref", err.Error())
@@ -180,6 +182,34 @@ func (e *Env) checkShuffle(ctx context.Context, w *Workload) []string {
 		fail("shuffle-agg-cluster", d)
 	}
 	return fails
+}
+
+// collideKeys rewrites some group-key cells of rel in place into values
+// whose rendering collides with another kind's — Null and Str(""), and
+// the string twin Str(v.AsString()) of a typed cell — so the shuffle
+// aggregation must route keys the merge groups together to one
+// partition.
+func collideKeys(rel *relation.Relation, groupBy []string, seed int64) {
+	rng := rand.New(rand.NewSource(seed ^ 0xc011))
+	ki := rel.Schema.MustIndex(groupBy[0])
+	for _, p := range rel.Partitions {
+		for i, r := range p {
+			var v relation.Value
+			switch rng.Intn(8) {
+			case 0:
+				v = relation.Null()
+			case 1:
+				v = relation.Str("")
+			case 2:
+				v = relation.Str(r[ki].AsString())
+			default:
+				continue
+			}
+			nr := r.Clone()
+			nr[ki] = v
+			p[i] = nr
+		}
+	}
 }
 
 // TestShuffleDifferential drives the shuffle invariants over the seeded

@@ -28,10 +28,9 @@ type compiledOp struct {
 	hash     map[uint64]*joinBucket
 	rightIdx []int // key column indexes in the broadcast table
 	leftIdx  []int
-	keepIdx  []int // non-key broadcast columns appended to output
-	colIdx   []int // resolved op.Cols
-	ruleIdx  int   // OpEvalRule rule column
-	rules    *ruleCache
+	keepIdx  []int                                       // non-key broadcast columns appended to output
+	colIdx   []int                                       // resolved op.Cols
+	interp   *interpTable                                // OpInterpret
 	less     func(cp []relation.Row) func(a, b int) bool // OpSortWithin, precompiled
 }
 
@@ -39,10 +38,30 @@ type compiledOp struct {
 // row in the bucket carries the same key tuple, so a probe row that
 // matches the first row matches them all — the batch join kernel then
 // skips the per-candidate keysEqual re-checks that only a 64-bit hash
-// collision could need.
+// collision could need. pos[k] is rows[k]'s index in the table.
 type joinBucket struct {
 	rows    []relation.Row
+	pos     []int32
 	uniform bool
+}
+
+// buildJoinHash buckets table rows by the hash of their key columns,
+// keeping table order within each bucket.
+func buildJoinHash(table []relation.Row, keyIdx []int) map[uint64]*joinBucket {
+	hash := make(map[uint64]*joinBucket, len(table))
+	for i, r := range table {
+		h := r.Hash(keyIdx...)
+		b := hash[h]
+		if b == nil {
+			b = &joinBucket{uniform: true}
+			hash[h] = b
+		} else if b.uniform && !keysEqual(r, b.rows[0], keyIdx, keyIdx) {
+			b.uniform = false
+		}
+		b.rows = append(b.rows, r)
+		b.pos = append(b.pos, int32(i))
+	}
+	return hash
 }
 
 // NewStagePipeline validates and compiles ops against the input schema.
@@ -54,26 +73,21 @@ func NewStagePipeline(in relation.Schema, ops []OpDesc) (*StagePipeline, error) 
 		if err != nil {
 			return nil, fmt.Errorf("engine: op %d (%s): %w", i, op.Kind, err)
 		}
-		st := compiledOp{desc: op, in: cur, out: next, ruleIdx: -1}
+		st := compiledOp{desc: op, in: cur, out: next}
 		switch op.Kind {
 		case OpFilter, OpAddColumn:
 			var prog *expr.Program
 			if prog, err = expr.Compile(op.Expr, cur); err == nil {
 				st.prog = prog.Flatten()
 			}
-		case OpEvalRule:
-			st.ruleIdx = cur.MustIndex(op.RuleCol)
-			st.rules = newRuleCache(cur)
+		case OpInterpret:
+			st.interp, err = compileInterpret(cur, op.Join)
 		case OpBroadcastJoin:
 			j := op.Join
-			st.leftIdx = make([]int, len(j.LeftKeys))
-			for k, name := range j.LeftKeys {
-				st.leftIdx[k] = cur.MustIndex(name)
-			}
-			st.rightIdx = make([]int, len(j.RightKeys))
+			st.leftIdx = columnIndexes(cur, j.LeftKeys)
+			st.rightIdx = columnIndexes(j.Schema, j.RightKeys)
 			rightKeySet := map[string]bool{}
-			for k, name := range j.RightKeys {
-				st.rightIdx[k] = j.Schema.MustIndex(name)
+			for _, name := range j.RightKeys {
 				rightKeySet[name] = true
 			}
 			for ci, c := range j.Schema.Cols {
@@ -81,18 +95,7 @@ func NewStagePipeline(in relation.Schema, ops []OpDesc) (*StagePipeline, error) 
 					st.keepIdx = append(st.keepIdx, ci)
 				}
 			}
-			st.hash = make(map[uint64]*joinBucket, len(j.Rows))
-			for _, r := range j.Rows {
-				h := r.Hash(st.rightIdx...)
-				b := st.hash[h]
-				if b == nil {
-					b = &joinBucket{uniform: true}
-					st.hash[h] = b
-				} else if b.uniform && !keysEqual(r, b.rows[0], st.rightIdx, st.rightIdx) {
-					b.uniform = false
-				}
-				b.rows = append(b.rows, r)
-			}
+			st.hash = buildJoinHash(j.Rows, st.rightIdx)
 		case OpProject, OpDedupConsecutive, OpSortWithin, OpShuffleExchange:
 			st.colIdx = make([]int, len(op.Cols))
 			for k, name := range op.Cols {

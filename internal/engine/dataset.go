@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
 )
 
 // Dataset is the lazy, fluent plan-building API over the engine, the
@@ -69,10 +70,9 @@ func (d *Dataset) WithColumn(name string, kind relation.Kind, exprSrc string) *D
 	return d.push(AddColumn(name, kind, exprSrc))
 }
 
-// WithRuleColumn appends a column evaluated from per-row rule text.
-func (d *Dataset) WithRuleColumn(name string, kind relation.Kind, ruleCol string) *Dataset {
-	return d.push(EvalRule(name, kind, ruleCol))
-}
+// Interpret appends the interpretation of K_b into K_s under
+// translation tuples ts (OpInterpret).
+func (d *Dataset) Interpret(ts []rules.Translation) *Dataset { return d.push(Interpret(ts)) }
 
 // JoinBroadcast appends an inner equi-join with a small table.
 func (d *Dataset) JoinBroadcast(small *relation.Relation, leftKeys, rightKeys []string) *Dataset {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
 )
 
 var ctx = context.Background()
@@ -49,6 +50,16 @@ func rulesTable() *relation.Relation {
 	})
 }
 
+// translations interpret makeTrace's messages: two signals on mid 3,
+// one on mid 4.
+func translations() []rules.Translation {
+	return []rules.Translation{
+		{SID: "wpos", Channel: "FC", MsgID: 3, FirstByte: 0, LastByte: 1, Rule: "0.5 * byteat(lrel, 0)"},
+		{SID: "wvel", Channel: "FC", MsgID: 3, FirstByte: 0, LastByte: 1, Rule: "byteat(lrel, 1)"},
+		{SID: "heat", Channel: "FC", MsgID: 4, FirstByte: 0, LastByte: 1, Rule: "byteat(lrel, 0) + 2"},
+	}
+}
+
 func TestFilterStage(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		exec := NewLocal(workers)
@@ -88,13 +99,11 @@ func TestProjectAndWithColumn(t *testing.T) {
 }
 
 func TestBroadcastJoinInterpretation(t *testing.T) {
-	// The core of Sec. 3.2: join raw messages with translation tuples on
-	// (mid, bid), then evaluate the per-row rule to interpret values.
+	// The core of Sec. 3.2: match raw messages with translation tuples
+	// on (bid, mid), then evaluate each tuple's rule to interpret values.
 	exec := NewLocal(4)
-	ds := NewDataset(exec, makeTrace(20, 3)).
-		JoinBroadcast(rulesTable(), []string{"bid", "mid"}, []string{"rbid", "rmid"}).
-		WithRuleColumn("v", relation.KindFloat, "rule")
-	rel, err := ds.Collect(ctx)
+	in := makeTrace(20, 3)
+	rel, err := NewDataset(exec, in).Interpret(translations()).Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +113,13 @@ func TestBroadcastJoinInterpretation(t *testing.T) {
 	}
 	sidIdx := rel.Schema.MustIndex("sid")
 	vIdx := rel.Schema.MustIndex("v")
-	lIdx := rel.Schema.MustIndex("l")
+	payload := map[float64][]byte{}
+	for _, r := range in.Rows() {
+		payload[r[0].F] = r[3].B
+	}
 	for _, r := range rel.Rows() {
-		b0 := float64(r[lIdx].B[0])
-		b1 := float64(r[lIdx].B[1])
+		l := payload[r[0].F]
+		b0, b1 := float64(l[0]), float64(l[1])
 		var want float64
 		switch r[sidIdx].AsString() {
 		case "wpos":
@@ -354,15 +366,15 @@ func TestAggregateErrors(t *testing.T) {
 	}
 }
 
-func TestEvalRuleBadRuleFails(t *testing.T) {
-	s := relation.NewSchema(
-		relation.Column{Name: "v", Kind: relation.KindInt},
-		relation.Column{Name: "rule", Kind: relation.KindString},
-	)
-	rel := relation.FromRows(s, []relation.Row{{relation.Int(1), relation.Str("v +")}})
-	_, err := NewDataset(NewLocal(1), rel).WithRuleColumn("out", relation.KindFloat, "rule").Collect(ctx)
-	if err == nil {
-		t.Fatal("malformed per-row rule must fail the stage")
+func TestInterpretBadRuleFails(t *testing.T) {
+	bad := []rules.Translation{{SID: "x", Channel: "FC", MsgID: 3, FirstByte: 0, LastByte: 0, Rule: "lrel +"}}
+	if _, err := NewDataset(NewLocal(1), makeTrace(4, 1)).Interpret(bad).Collect(ctx); err == nil {
+		t.Fatal("malformed rule must fail the stage")
+	}
+	// A bad rule no message reaches compiles lazily and never fails.
+	bad[0].MsgID = 99
+	if _, err := NewDataset(NewLocal(1), makeTrace(4, 1)).Interpret(bad).Collect(ctx); err != nil {
+		t.Fatalf("unreached bad rule failed the stage: %v", err)
 	}
 }
 
@@ -415,18 +427,14 @@ func TestBroadcastJoinEmptyTable(t *testing.T) {
 	}
 }
 
-func TestEvalRuleEmptyRuleYieldsNull(t *testing.T) {
-	s := relation.NewSchema(
-		relation.Column{Name: "v", Kind: relation.KindInt},
-		relation.Column{Name: "rule", Kind: relation.KindString},
-	)
-	rel := relation.FromRows(s, []relation.Row{{relation.Int(1), relation.Str("")}})
-	out, err := NewDataset(NewLocal(1), rel).WithRuleColumn("out", relation.KindNull, "rule").Collect(ctx)
+func TestInterpretEmptyRuleYieldsNull(t *testing.T) {
+	empty := []rules.Translation{{SID: "x", Channel: "FC", MsgID: 3, FirstByte: 0, LastByte: 0}}
+	out, err := NewDataset(NewLocal(1), makeTrace(2, 1)).Interpret(empty).Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Rows()[0][2].IsNull() {
-		t.Fatalf("empty rule must yield null, got %v", out.Rows()[0][2])
+	if out.NumRows() != 1 || !out.Rows()[0][2].IsNull() {
+		t.Fatalf("empty rule must yield null, got %v", out.Rows())
 	}
 }
 

@@ -50,7 +50,6 @@ func hashOp(h hash.Hash64, op OpDesc) {
 	h.Write([]byte{byte(op.Kind), byte(op.ColKind)})
 	hashString(h, op.Expr)
 	hashString(h, op.Col)
-	hashString(h, op.RuleCol)
 	hashStrings(h, op.Cols)
 	// Shuffle fan-out: two exchanges over the same keys but different
 	// partition counts must compile and cache as distinct stages.

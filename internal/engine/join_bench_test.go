@@ -6,45 +6,30 @@ import (
 	"testing"
 
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
 )
 
-// BenchmarkBroadcastJoinStage measures the full broadcast-join +
-// rule-eval + project stage on the local executor — the per-partition
+// BenchmarkInterpretStage measures an interpretation stage (OpInterpret
+// over a 256-tuple table) on the local executor — the per-partition
 // work a cluster task performs, and the stage the wire benchmark ships.
-func BenchmarkBroadcastJoinStage(b *testing.B) {
+func BenchmarkInterpretStage(b *testing.B) {
 	const nRows, nParts, nTable = 20000, 16, 256
-	streamSchema := relation.NewSchema(
-		relation.Column{Name: "t", Kind: relation.KindFloat},
-		relation.Column{Name: "mid", Kind: relation.KindInt},
-		relation.Column{Name: "x", Kind: relation.KindInt},
-	)
 	rows := make([]relation.Row, nRows)
 	for i := range rows {
 		rows[i] = relation.Row{
 			relation.Float(float64(i) * 0.01),
+			relation.Str("FC"),
 			relation.Int(int64(i % nTable)),
-			relation.Int(int64(i % 4096)),
+			relation.Bytes([]byte{byte(i), byte(i >> 8)}),
 		}
 	}
-	rel := relation.FromRows(streamSchema, rows).Repartition(nParts)
-
-	tableSchema := relation.NewSchema(
-		relation.Column{Name: "mid", Kind: relation.KindInt},
-		relation.Column{Name: "rule", Kind: relation.KindString},
-	)
-	trows := make([]relation.Row, nTable)
-	for i := range trows {
-		trows[i] = relation.Row{
-			relation.Int(int64(i)),
-			relation.Str(fmt.Sprintf("x * %d + %d", i%13+1, i%29)),
-		}
+	rel := relation.FromRows(traceSchema(), rows).Repartition(nParts)
+	ts := make([]rules.Translation, nTable)
+	for i := range ts {
+		ts[i] = rules.Translation{SID: fmt.Sprintf("s%d", i), Channel: "FC", MsgID: uint32(i),
+			FirstByte: 0, LastByte: 1, Rule: fmt.Sprintf("ulbits(lrel, 0, 16) * %d + %d", i%13+1, i%29)}
 	}
-	small := relation.FromRows(tableSchema, trows)
-	ops := []OpDesc{
-		BroadcastJoin(small, []string{"mid"}, []string{"mid"}),
-		EvalRule("v", relation.KindInt, "rule"),
-		Project("t", "mid", "v"),
-	}
+	ops := []OpDesc{Interpret(ts)}
 	exec := NewLocal(0)
 	ctx := context.Background()
 	b.ReportAllocs()

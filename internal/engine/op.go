@@ -16,10 +16,11 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"ivnt/internal/expr"
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
+	"ivnt/internal/trace"
 )
 
 // OpKind enumerates the narrow (per-partition) operators.
@@ -35,11 +36,12 @@ const (
 	// OpAddColumn appends a computed column (F, row-wise map). The
 	// expression may use window functions; history is partition-local.
 	OpAddColumn
-	// OpEvalRule appends a column computed by evaluating, per row, the
-	// expression *text found in another column*. This is the u₂
-	// interpretation step: after joining K_pre with U_comb, every row
-	// carries its own translation rule.
-	OpEvalRule
+	// OpInterpret is information extraction (Algorithm 1 lines 3–6) as
+	// one operator: each K_b row probes a translation table on (b_id,
+	// m_id); a miss drops the row (the line-3 preselection), and every
+	// matching tuple, in table order, yields one K_s row (t, sid, v,
+	// bid) with l_rel = u₁(l) and v = u₂(l_rel). See interpret.go.
+	OpInterpret
 	// OpBroadcastJoin inner-joins the stream with a small broadcast
 	// table on equal keys (⋈). The table rides along inside the
 	// descriptor, exactly like a Spark broadcast variable.
@@ -83,8 +85,8 @@ func (k OpKind) String() string {
 		return "project"
 	case OpAddColumn:
 		return "addcolumn"
-	case OpEvalRule:
-		return "evalrule"
+	case OpInterpret:
+		return "interpret"
 	case OpBroadcastJoin:
 		return "broadcastjoin"
 	case OpDedupConsecutive:
@@ -122,17 +124,15 @@ type OpDesc struct {
 	// Expr is the predicate (OpFilter) or column expression
 	// (OpAddColumn).
 	Expr string
-	// Col is the output column name (OpAddColumn, OpEvalRule).
+	// Col is the output column name (OpAddColumn).
 	Col string
 	// ColKind is the advisory kind of the output column.
 	ColKind relation.Kind
-	// RuleCol names the column holding per-row expression text
-	// (OpEvalRule).
-	RuleCol string
 	// Cols are the projection columns (OpProject), the sort keys
 	// (OpSortWithin) or the compared value columns (OpDedupConsecutive).
 	Cols []string
-	// Join is the broadcast join spec (OpBroadcastJoin).
+	// Join is the broadcast join spec (OpBroadcastJoin) or the
+	// translation table (OpInterpret).
 	Join *JoinSpec
 	// GroupBy and Aggs parameterize OpPartialAgg.
 	GroupBy []string
@@ -153,9 +153,18 @@ func AddColumn(name string, kind relation.Kind, exprSrc string) OpDesc {
 	return OpDesc{Kind: OpAddColumn, Col: name, ColKind: kind, Expr: exprSrc}
 }
 
-// EvalRule builds a per-row dynamic rule evaluation descriptor.
-func EvalRule(outCol string, kind relation.Kind, ruleCol string) OpDesc {
-	return OpDesc{Kind: OpEvalRule, Col: outCol, ColKind: kind, RuleCol: ruleCol}
+// Interpret builds the interpretation descriptor for translation
+// tuples ts. The table is rules.ToRelation(ts), probed on K_b's (bid,
+// mid); it rides in Join so fingerprinting and once-per-connection
+// table shipping treat it like any broadcast table.
+func Interpret(ts []rules.Translation) OpDesc {
+	tbl := rules.ToRelation(ts)
+	return OpDesc{Kind: OpInterpret, Join: &JoinSpec{
+		Schema:    tbl.Schema,
+		Rows:      tbl.Rows(),
+		LeftKeys:  []string{trace.ColBID, trace.ColMID},
+		RightKeys: []string{rules.ColUBID, rules.ColUMID},
+	}}
 }
 
 // BroadcastJoin builds an inner equi-join with a small table. Key
@@ -222,45 +231,14 @@ func opSchema(in relation.Schema, op OpDesc) (relation.Schema, error) {
 			return relation.Schema{}, err
 		}
 		return in.Append(relation.Column{Name: op.Col, Kind: op.ColKind}), nil
-	case OpEvalRule:
-		if !in.Has(op.RuleCol) {
-			return relation.Schema{}, fmt.Errorf("rule column %q missing", op.RuleCol)
+	case OpInterpret:
+		sch, err := interpretSchemas(in, op.Join)
+		if err != nil {
+			return relation.Schema{}, err
 		}
-		if in.Has(op.Col) {
-			return relation.Schema{}, fmt.Errorf("column %q already exists", op.Col)
-		}
-		return in.Append(relation.Column{Name: op.Col, Kind: op.ColKind}), nil
+		return sch.out, nil
 	case OpBroadcastJoin:
-		j := op.Join
-		if j == nil {
-			return relation.Schema{}, fmt.Errorf("nil join spec")
-		}
-		if len(j.LeftKeys) == 0 || len(j.LeftKeys) != len(j.RightKeys) {
-			return relation.Schema{}, fmt.Errorf("join keys mismatch: %v vs %v", j.LeftKeys, j.RightKeys)
-		}
-		for _, k := range j.LeftKeys {
-			if !in.Has(k) {
-				return relation.Schema{}, fmt.Errorf("left key %q missing", k)
-			}
-		}
-		rightKeySet := map[string]bool{}
-		for _, k := range j.RightKeys {
-			if !j.Schema.Has(k) {
-				return relation.Schema{}, fmt.Errorf("right key %q missing", k)
-			}
-			rightKeySet[k] = true
-		}
-		out := in
-		for _, c := range j.Schema.Cols {
-			if rightKeySet[c.Name] {
-				continue
-			}
-			if out.Has(c.Name) {
-				return relation.Schema{}, fmt.Errorf("join output column %q collides", c.Name)
-			}
-			out = out.Append(c)
-		}
-		return out, nil
+		return joinSchema(in, op.Join)
 	case OpDedupConsecutive, OpSortWithin:
 		for _, c := range op.Cols {
 			if !in.Has(c) {
@@ -288,74 +266,36 @@ func opSchema(in relation.Schema, op OpDesc) (relation.Schema, error) {
 	}
 }
 
-// ruleShardCount shards the rule cache by source-text hash. Every
-// worker goroutine of a stage hits the cache once per row, and after
-// warm-up virtually every hit is a read, so shards use RWMutexes: the
-// hot path is a shared read lock on 1/16th of the keyspace instead of
-// the single global mutex that serialized all workers (see
-// BenchmarkEvalRuleParallel).
-const ruleShardCount = 16
-
-// ruleCache caches compiled per-row rules by source text so that
-// OpEvalRule compiles each distinct rule once per stage rather than
-// once per row. A compilation error is cached too — interpretation
-// aborts on the first bad rule, but speculative copies of the same
-// task must not pay repeated compile attempts.
-type ruleCache struct {
-	schema relation.Schema
-	shards [ruleShardCount]ruleShard
-}
-
-type ruleShard struct {
-	mu    sync.RWMutex
-	progs map[string]*expr.FlatProgram
-	errs  map[string]error
-}
-
-func newRuleCache(s relation.Schema) *ruleCache {
-	c := &ruleCache{schema: s}
-	for i := range c.shards {
-		c.shards[i].progs = map[string]*expr.FlatProgram{}
-		c.shards[i].errs = map[string]error{}
+// joinSchema is OpBroadcastJoin's output schema: the stream columns
+// followed by the table's non-key columns.
+func joinSchema(in relation.Schema, j *JoinSpec) (relation.Schema, error) {
+	if j == nil {
+		return relation.Schema{}, fmt.Errorf("nil join spec")
 	}
-	return c
-}
-
-// ruleShardFor hashes the rule source (FNV-1a) onto a shard.
-func (c *ruleCache) shardFor(src string) *ruleShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(src); i++ {
-		h = (h ^ uint64(src[i])) * 1099511628211
+	if len(j.LeftKeys) == 0 || len(j.LeftKeys) != len(j.RightKeys) {
+		return relation.Schema{}, fmt.Errorf("join keys mismatch: %v vs %v", j.LeftKeys, j.RightKeys)
 	}
-	return &c.shards[h%ruleShardCount]
-}
-
-func (c *ruleCache) get(src string) (*expr.FlatProgram, error) {
-	sh := c.shardFor(src)
-	sh.mu.RLock()
-	p, okP := sh.progs[src]
-	err, okE := sh.errs[src]
-	sh.mu.RUnlock()
-	if okP {
-		return p, nil
+	for _, k := range j.LeftKeys {
+		if !in.Has(k) {
+			return relation.Schema{}, fmt.Errorf("left key %q missing", k)
+		}
 	}
-	if okE {
-		return nil, err
+	rightKeySet := map[string]bool{}
+	for _, k := range j.RightKeys {
+		if !j.Schema.Has(k) {
+			return relation.Schema{}, fmt.Errorf("right key %q missing", k)
+		}
+		rightKeySet[k] = true
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if p, ok := sh.progs[src]; ok {
-		return p, nil
+	out := in
+	for _, c := range j.Schema.Cols {
+		if rightKeySet[c.Name] {
+			continue
+		}
+		if out.Has(c.Name) {
+			return relation.Schema{}, fmt.Errorf("join output column %q collides", c.Name)
+		}
+		out = out.Append(c)
 	}
-	if err, ok := sh.errs[src]; ok {
-		return nil, err
-	}
-	prog, err := expr.Compile(src, c.schema)
-	if err != nil {
-		sh.errs[src] = err
-		return nil, err
-	}
-	p = prog.Flatten()
-	sh.progs[src] = p
-	return p, nil
+	return out, nil
 }

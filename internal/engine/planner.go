@@ -61,14 +61,15 @@ func (l *Local) DefaultShuffleParts() int {
 	return p
 }
 
-// localShuffle hash-partitions rel into parts partitions on keyIdx.
-// Output partition p concatenates each input partition's bucket-p rows
-// in input-partition order — PartitionByKey's layout, built through
-// ShuffleSplit so the difftest bucket-mutation hook sees this path too.
-func localShuffle(rel *relation.Relation, keyIdx []int, parts int) *relation.Relation {
+// localShuffle hash-partitions rel into parts partitions on keyIdx
+// with split (ShuffleSplit, or AggSplit for aggregate partials). Output
+// partition p concatenates each input partition's bucket-p rows in
+// input-partition order — with ShuffleSplit, PartitionByKey's layout,
+// built so the difftest bucket-mutation hook sees this path too.
+func localShuffle(rel *relation.Relation, keyIdx []int, parts int, split func([]relation.Row, []int, int) [][]relation.Row) *relation.Relation {
 	outParts := make([][]relation.Row, parts)
 	for _, in := range rel.Partitions {
-		for b, rows := range ShuffleSplit(in, keyIdx, parts) {
+		for b, rows := range split(in, keyIdx, parts) {
 			outParts[b] = append(outParts[b], rows...)
 		}
 	}
@@ -103,7 +104,7 @@ func (l *Local) ShuffleMaterialize(ctx context.Context, rel *relation.Relation, 
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	shuffled := localShuffle(out, keyIdx, parts)
+	shuffled := localShuffle(out, keyIdx, parts, ShuffleSplit)
 	st.Partitions = parts
 	st.ShufflePartitions += parts
 	return shuffled, st, nil
@@ -128,8 +129,8 @@ func (l *Local) ShuffleJoin(ctx context.Context, left, right *relation.Relation,
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	shL := localShuffle(left, lIdx, parts)
-	shR := localShuffle(right, rIdx, parts)
+	shL := localShuffle(left, lIdx, parts, ShuffleSplit)
+	shR := localShuffle(right, rIdx, parts, ShuffleSplit)
 	outParts := make([][]relation.Row, parts)
 	var outSchema relation.Schema
 	var tasks int
@@ -177,7 +178,7 @@ func (l *Local) ShuffleAggregate(ctx context.Context, rel *relation.Relation, gr
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	shuffled := localShuffle(partials, keyIdx, parts)
+	shuffled := localShuffle(partials, keyIdx, parts, AggSplit)
 	finalParts := make([][]relation.Row, parts)
 	var finalSchema relation.Schema
 	for p := 0; p < parts; p++ {
@@ -311,7 +312,7 @@ func DistributedAggregate(ctx context.Context, exec Executor, rel *relation.Rela
 // that picks the shuffle plan, which needs every row, ScanAggregate
 // runs ScanStage + DistributedAggregate instead, as it does when no
 // segment answers. Answered segments are counted in
-// Stats.SegmentsAnswered.
+// Stats.SegmentsAnswered; Stats.RowsIn counts the rows the scan read.
 func ScanAggregate(ctx context.Context, exec Executor, src ScanSource, ops []OpDesc, groupBy []string, aggs []AggSpec, cfg PlanConfig) (*relation.Relation, PlanKind, Stats, error) {
 	pd, refs, width, partialSchema, err := footerAnswers(src, ops, groupBy, aggs)
 	if err != nil {
@@ -346,6 +347,7 @@ func ScanAggregate(ctx context.Context, exec Executor, src ScanSource, ops []OpD
 			return nil, PlanBroadcast, Stats{}, err
 		}
 		st.Add(sst)
+		st.RowsIn = sst.RowsIn
 	}
 	for i, r := range refs {
 		if r.Answer != nil {
@@ -372,7 +374,9 @@ func scanThenAggregate(ctx context.Context, exec Executor, src ScanSource, ops [
 	if err != nil {
 		return nil, pk, Stats{}, err
 	}
+	rowsIn := st.RowsIn
 	st.Add(ast)
+	st.RowsIn = rowsIn
 	return out, pk, st, nil
 }
 

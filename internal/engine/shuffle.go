@@ -48,16 +48,6 @@ func SetDebugShuffleBucket(f func(bucket, parts int) int) {
 	debugShuffleBucket.Store(&f)
 }
 
-// shuffleBucket computes the output bucket for one row, applying the
-// debug mutation hook when armed.
-func shuffleBucket(r relation.Row, parts int, keyIdx []int) int {
-	b := r.Bucket(parts, keyIdx...)
-	if f := debugShuffleBucket.Load(); f != nil {
-		b = (*f)(b, parts)
-	}
-	return b
-}
-
 // ShuffleSplit cuts one partition's rows into parts buckets by the
 // hash of the key cells, preserving input order within each bucket.
 // Bucket i of the result is output partition i's contribution from
@@ -65,6 +55,35 @@ func shuffleBucket(r relation.Row, parts int, keyIdx []int) int {
 // partition in partition order reproduces Relation.PartitionByKey
 // bitwise — the invariant difftest holds the cluster exchange to.
 func ShuffleSplit(rows []relation.Row, keyIdx []int, parts int) [][]relation.Row {
+	return splitRows(rows, parts, func(r relation.Row) int { return r.Bucket(parts, keyIdx...) })
+}
+
+// AggSplit is ShuffleSplit for aggregate partials: it routes by
+// AggBucket, so rows the merge puts in one group always meet in one
+// partition. Both executors' shuffle aggregations split through it.
+func AggSplit(rows []relation.Row, keyIdx []int, parts int) [][]relation.Row {
+	return splitRows(rows, parts, func(r relation.Row) int { return AggBucket(r, parts, keyIdx) })
+}
+
+// AggBucket hashes (FNV-1a) the NUL-joined AsString rendering of a
+// row's group key, the encoding MergePartials, Aggregate and the oracle
+// group by, onto one of parts buckets. Row.Bucket hashes typed cells,
+// which would send keys the merge treats as one group — Null and
+// Str(""), Int(1) and Str("1") — to different partitions.
+func AggBucket(r relation.Row, parts int, keyIdx []int) int {
+	h := uint64(14695981039346656037)
+	for _, ci := range keyIdx {
+		for _, b := range []byte(r[ci].AsString()) {
+			h = (h ^ uint64(b)) * 1099511628211
+		}
+		h *= 1099511628211 // the NUL separator: h ^ 0 == h
+	}
+	return int(h % uint64(parts))
+}
+
+// splitRows buckets rows by bucket (applying the debug mutation hook
+// when armed), preserving input order within each bucket.
+func splitRows(rows []relation.Row, parts int, bucket func(relation.Row) int) [][]relation.Row {
 	if parts < 1 {
 		parts = 1
 	}
@@ -75,8 +94,12 @@ func ShuffleSplit(rows []relation.Row, keyIdx []int, parts int) [][]relation.Row
 		out[0] = rows
 		return out
 	}
+	hook := debugShuffleBucket.Load()
 	for _, r := range rows {
-		b := shuffleBucket(r, parts, keyIdx)
+		b := bucket(r)
+		if hook != nil {
+			b = (*hook)(b, parts)
+		}
 		out[b] = append(out[b], r)
 	}
 	return out

@@ -96,7 +96,7 @@ func TestShuffleSplitMatchesPartitionByKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := localShuffle(rel, keyIdx, parts)
+		got := localShuffle(rel, keyIdx, parts, ShuffleSplit)
 		mustSameExact(t, fmt.Sprintf("parts=%d", parts), want, got)
 	}
 }
@@ -107,7 +107,7 @@ func TestShuffleSplitMatchesPartitionByKey(t *testing.T) {
 func TestShuffleNullKeysSingleBucket(t *testing.T) {
 	rel := shuffleTestRel(300, 3)
 	keyIdx := []int{rel.Schema.MustIndex("k")}
-	sh := localShuffle(rel, keyIdx, 8)
+	sh := localShuffle(rel, keyIdx, 8, ShuffleSplit)
 	nullPart := -1
 	for pi, p := range sh.Partitions {
 		for _, r := range p {
@@ -258,7 +258,7 @@ func TestSetDebugShuffleBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetDebugShuffleBucket(func(b, parts int) int { return (b + 1) % parts })
-	broken := localShuffle(rel, keyIdx, 4)
+	broken := localShuffle(rel, keyIdx, 4, ShuffleSplit)
 	SetDebugShuffleBucket(nil)
 	same := true
 	for pi := range want.Partitions {
@@ -270,7 +270,7 @@ func TestSetDebugShuffleBucket(t *testing.T) {
 	if same {
 		t.Fatal("bucket mutation hook had no observable effect")
 	}
-	fixed := localShuffle(rel, keyIdx, 4)
+	fixed := localShuffle(rel, keyIdx, 4, ShuffleSplit)
 	mustSameExact(t, "after hook removal", want, fixed)
 }
 

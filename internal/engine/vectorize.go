@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -259,8 +258,8 @@ func (st *compiledOp) applyVecSingle(rows []relation.Row, sc *vecScratch) ([]rel
 		return applyWindowFilter(st.prog, rows, sc), nil
 	case OpAddColumn:
 		return applyWindowAddCol(st.prog, rows, sc), nil
-	case OpEvalRule:
-		return st.applyEvalRuleVec(rows, sc)
+	case OpInterpret:
+		return st.applyInterpretVec(rows, sc)
 	}
 	return st.apply(rows)
 }
@@ -465,33 +464,4 @@ func applyWindowAddCol(fp *expr.FlatProgram, rows []relation.Row, sc *vecScratch
 	}
 	vectorizedBatchesCtr.Inc()
 	return out
-}
-
-// applyEvalRuleVec evaluates per-row dynamic rules through their flat
-// programs with slab-backed output rows. Rules vary per row, so there
-// is nothing to fuse, but the flat machine and slab still remove the
-// per-row recursion and row allocation.
-func (st *compiledOp) applyEvalRuleVec(rows []relation.Row, sc *vecScratch) ([]relation.Row, error) {
-	out := make([]relation.Row, 0, len(rows))
-	if len(rows) == 0 {
-		return out, nil
-	}
-	sl := slab{w: len(st.in.Cols) + 1}
-	for i, r := range rows {
-		var v relation.Value
-		src := r[st.ruleIdx].AsString()
-		if src != "" {
-			prog, err := st.rules.get(src)
-			if err != nil {
-				return nil, fmt.Errorf("engine: row rule %q: %w", src, err)
-			}
-			v = sc.machine.EvalAt(prog, rows, i)
-		}
-		nr := sl.next()
-		copy(nr, r)
-		nr[len(r)] = v
-		out = append(out, nr)
-	}
-	vectorizedBatchesCtr.Inc()
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
 )
 
 // vecTestRows builds a partition with value variety (nulls, runs,
@@ -58,9 +59,21 @@ func vecJoinTable() *relation.Relation {
 	})
 }
 
+// vecTranslations is an interpretation table over vecTestRows: mid 3
+// maps to two signals (a duplicate-key bucket), and cool's byte range
+// overruns the 3-byte payload so its u₁ yields null.
+func vecTranslations() []rules.Translation {
+	return []rules.Translation{
+		{SID: "wpos", Channel: "FC", MsgID: 0, FirstByte: 0, LastByte: 0, Rule: "0.5 * byteat(lrel, 0)"},
+		{SID: "wvel", Channel: "FC", MsgID: 1, FirstByte: 1, LastByte: 1, Rule: "byteat(lrel, 0) - 1"},
+		{SID: "heat", Channel: "FC", MsgID: 3, FirstByte: 0, LastByte: 2, Rule: "byteat(lrel, 0) + 2"},
+		{SID: "cool", Channel: "FC", MsgID: 3, FirstByte: 2, LastByte: 3, Rule: "coalesce(byteat(lrel, 1), 0.0) * 2"},
+	}
+}
+
 // vecPipelines is the coverage matrix: fused runs in every shape,
 // window programs that must not fuse, joins with duplicate-key
-// buckets, dynamic rules, and the pass-through operators.
+// buckets, interpretation, and the pass-through operators.
 func vecPipelines() map[string][]OpDesc {
 	return map[string][]OpDesc{
 		"filter-only":       {Filter("mid != 2")},
@@ -74,13 +87,13 @@ func vecPipelines() map[string][]OpDesc {
 		"window-addcolumn":  {AddColumn("dv", relation.KindFloat, "delta(v)")},
 		"window-mixed":      {Filter("mid != 2"), AddColumn("dt", relation.KindFloat, "gap(t)"), Filter("dt > 0.0"), Project("t", "mid", "dt")},
 		"join":              {BroadcastJoin(vecJoinTable(), []string{"mid"}, []string{"rmid"})},
-		"join-then-rule":    {BroadcastJoin(vecJoinTable(), []string{"mid"}, []string{"rmid"}), EvalRule("val", relation.KindFloat, "rule")},
-		"rule-after-fused":  {Filter("mid == 3 || mid == 1"), BroadcastJoin(vecJoinTable(), []string{"mid"}, []string{"rmid"}), EvalRule("val", relation.KindFloat, "rule"), Filter("!isnull(val)"), Project("t", "sid", "val")},
+		"join-then-rule":    {Interpret(vecTranslations())},
+		"rule-after-fused":  {Filter("mid == 3 || mid == 1"), Interpret(vecTranslations()), Filter("!isnull(v)"), Project("t", "sid", "v")},
 		"dedup":             {Project("bid", "mid"), DedupConsecutive("mid")},
 		"sort":              {SortWithin("mid", "t")},
 		"sort-one-key":      {SortWithin("v")},
 		"agg":               {PartialAgg([]string{"mid"}, []AggSpec{{Fn: AggCount, As: "n"}})},
-		"kitchen-sink":      {Filter("mid != 4"), AddColumn("b0", relation.KindInt, "byteat(l, 0)"), BroadcastJoin(vecJoinTable(), []string{"mid"}, []string{"rmid"}), EvalRule("val", relation.KindFloat, "rule"), SortWithin("sid", "t"), DedupConsecutive("sid", "val"), Project("t", "sid", "val")},
+		"kitchen-sink":      {Filter("mid != 4"), AddColumn("b0", relation.KindInt, "byteat(l, 0)"), Interpret(vecTranslations()), SortWithin("sid", "t"), DedupConsecutive("sid", "v"), Project("t", "sid", "v")},
 		"empty-pipeline":    {},
 		"addcolumn-strings": {AddColumn("tag", relation.KindString, "upper(bid) + '-' + str(mid)"), Filter("contains(tag, '3')")},
 		"filter-none-pass":  {Filter("mid == 99")},

@@ -1,8 +1,8 @@
 // Package interp implements information extraction (Sec. 3, Algorithm 1
-// lines 3–6): preselection of relevant messages, the broadcast join of
-// raw messages with translation tuples, the u₁ relevant-byte extraction
-// and the u₂ value interpretation, all as one serializable engine stage
-// so it distributes row-parallel across executors.
+// lines 3–6): preselection of relevant messages, the join of raw
+// messages with translation tuples, the u₁ relevant-byte extraction and
+// the u₂ value interpretation, all as one serializable engine operator
+// (engine.OpInterpret) so it distributes row-parallel across executors.
 package interp
 
 import (
@@ -12,7 +12,6 @@ import (
 	"ivnt/internal/engine"
 	"ivnt/internal/relation"
 	"ivnt/internal/rules"
-	"ivnt/internal/trace"
 )
 
 // Options tune the extraction plan.
@@ -35,65 +34,26 @@ func DefaultOptions() Options { return Options{Preselect: true} }
 // Plan builds the extraction stage for a U_comb selection: applied to a
 // K_b relation it yields the K_s relation (t, sid, v, bid).
 //
-// Stage layout (all narrow operators, no shuffle needed):
-//
-//	semijoin (b_id,m_id)∈U_comb   — line 3, K_pre
-//	⋈ U_comb on (b_id,m_id)       — line 4, K_join
-//	u₁: lrel = slice(l, rel.B)    — line 5, K_join2
-//	π drop l, m_info              — the memory-efficiency step
-//	u₂: v = rule(lrel)            — line 6, K_s
-//	π (t, sid, v, bid)
+// The stage is one engine.OpInterpret over U_comb: preselection (line
+// 3), the join with translation tuples (line 4), u₁ (line 5) and u₂
+// (line 6) run as a single row-parallel pass. Without preselection it
+// interprets the full catalog instead and post-filters to the
+// selection, reproducing what "translating all signal instances in all
+// message instances" costs.
 func Plan(ucomb []rules.Translation, opts Options) ([]engine.OpDesc, error) {
 	if len(ucomb) == 0 {
 		return nil, fmt.Errorf("interp: empty U_comb")
 	}
-	joinSet := ucomb
-	if !opts.Preselect {
-		if len(opts.FullCatalog) == 0 {
-			return nil, fmt.Errorf("interp: Preselect=false requires FullCatalog")
-		}
-		joinSet = opts.FullCatalog
-	}
-
-	var ops []engine.OpDesc
 	if opts.Preselect {
-		// Line 3: σ over (b_id, m_id) as a semijoin with the distinct
-		// pair table — the broadcast analogue of the paper's filter
-		// pushdown onto the raw trace.
-		pairs := rules.PairRelation(ucomb)
-		ops = append(ops, engine.BroadcastJoin(pairs,
-			[]string{trace.ColBID, trace.ColMID},
-			[]string{rules.ColUPairBID, rules.ColUPairMID}))
+		return []engine.OpDesc{engine.Interpret(ucomb)}, nil
 	}
-
-	// Line 4: K_join = K_pre ⋈ U_comb. One output row per (message
-	// instance, matching translation tuple): the fan-out from messages
-	// to signals.
-	ops = append(ops, engine.BroadcastJoin(rules.ToRelation(joinSet),
-		[]string{trace.ColBID, trace.ColMID},
-		[]string{rules.ColUBID, rules.ColUMID}))
-
-	// Line 5: u₁ — extract the relevant bytes l_rel per row, then drop
-	// the full payload and protocol fields. Keeping only rel.B is what
-	// lets the paper store traces raw yet interpret cheaply.
-	ops = append(ops,
-		engine.EvalRule(trace.ColLRel, relation.KindBytes, rules.ColU1Rule),
-		engine.Project(trace.ColT, trace.ColBID, rules.ColUSID, trace.ColLRel, rules.ColU2Rule),
-	)
-
-	// Line 6: u₂ — interpret l_rel into the signal value v using the
-	// per-row rule carried by the join.
-	ops = append(ops,
-		engine.EvalRule(trace.ColV, relation.KindNull, rules.ColU2Rule),
-		engine.Project(trace.ColT, rules.ColUSID, trace.ColV, trace.ColBID),
-	)
-
-	if !opts.Preselect {
-		// Post-filter to the requested signals: without preselection
-		// everything was interpreted first.
-		ops = append(ops, engine.Filter(sidFilterExpr(ucomb)))
+	if len(opts.FullCatalog) == 0 {
+		return nil, fmt.Errorf("interp: Preselect=false requires FullCatalog")
 	}
-	return ops, nil
+	return []engine.OpDesc{
+		engine.Interpret(opts.FullCatalog),
+		engine.Filter(sidFilterExpr(ucomb)),
+	}, nil
 }
 
 // sidFilterExpr renders "sid=='a' || sid=='b' || ...".

@@ -15,8 +15,10 @@
 //
 //   - window functions (lag/gap/delta) see the rows as they entered the
 //     current operator, partition-local;
-//   - OpEvalRule treats an empty rule string as null and a rule that
-//     fails to compile as a stage-fatal error;
+//   - OpInterpret is its relational plan (join, u₁, π, u₂, π); an
+//     empty rule string yields null, and a rule that fails to compile
+//     or uses a window function is a stage-fatal error once a row
+//     reaches it;
 //   - OpBroadcastJoin emits, per stream row, the matching table rows in
 //     table order, with right key columns dropped;
 //   - OpDedupConsecutive compares each row to its immediate input
@@ -33,6 +35,8 @@ import (
 	"ivnt/internal/engine"
 	"ivnt/internal/expr"
 	"ivnt/internal/relation"
+	"ivnt/internal/rules"
+	"ivnt/internal/trace"
 )
 
 // coveredKinds is the number of operator kinds ApplyOp implements. The
@@ -89,8 +93,8 @@ func ApplyOp(in relation.Schema, rows []relation.Row, op engine.OpDesc) (relatio
 		return applyProject(in, rows, op)
 	case engine.OpAddColumn:
 		return applyAddColumn(in, rows, op)
-	case engine.OpEvalRule:
-		return applyEvalRule(in, rows, op)
+	case engine.OpInterpret:
+		return applyInterpret(in, rows, op)
 	case engine.OpBroadcastJoin:
 		return applyBroadcastJoin(in, rows, op)
 	case engine.OpDedupConsecutive:
@@ -156,18 +160,42 @@ func applyAddColumn(in relation.Schema, rows []relation.Row, op engine.OpDesc) (
 	return in.Append(relation.Column{Name: op.Col, Kind: op.ColKind}), out, nil
 }
 
-func applyEvalRule(in relation.Schema, rows []relation.Row, op engine.OpDesc) (relation.Schema, []relation.Row, error) {
-	if !in.Has(op.RuleCol) {
-		return relation.Schema{}, nil, fmt.Errorf("rule column %q missing", op.RuleCol)
+// applyInterpret is OpInterpret's specification run as the relational
+// plan it stands for: the nested-loop join with the translation table,
+// u₁ per join row, π (t, bid, sid, lrel, rule), u₂ per projected row,
+// π (t, sid, v, bid).
+func applyInterpret(in relation.Schema, rows []relation.Row, op engine.OpDesc) (relation.Schema, []relation.Row, error) {
+	outSchema, err := engine.OutputSchema(in, []engine.OpDesc{op})
+	if err != nil {
+		return relation.Schema{}, nil, err
 	}
-	if in.Has(op.Col) {
-		return relation.Schema{}, nil, fmt.Errorf("column %q already exists", op.Col)
+	join := op
+	join.Kind = engine.OpBroadcastJoin
+	s, rows, err := applyBroadcastJoin(in, rows, join)
+	if err != nil {
+		return relation.Schema{}, nil, err
 	}
-	ruleIdx := in.MustIndex(op.RuleCol)
+	if s, rows, err = applyRule(s, rows, trace.ColLRel, relation.KindBytes, rules.ColU1Rule); err != nil {
+		return relation.Schema{}, nil, err
+	}
+	if s, rows, err = applyProject(s, rows, engine.Project(trace.ColT, trace.ColBID, trace.ColSID, trace.ColLRel, rules.ColU2Rule)); err != nil {
+		return relation.Schema{}, nil, err
+	}
+	if s, rows, err = applyRule(s, rows, trace.ColV, relation.KindNull, rules.ColU2Rule); err != nil {
+		return relation.Schema{}, nil, err
+	}
+	if _, rows, err = applyProject(s, rows, engine.Project(trace.ColT, trace.ColSID, trace.ColV, trace.ColBID)); err != nil {
+		return relation.Schema{}, nil, err
+	}
+	return outSchema, rows, nil
+}
+
+// applyRule appends column col evaluated, per row, from the rule text
+// in column ruleCol.
+func applyRule(in relation.Schema, rows []relation.Row, col string, kind relation.Kind, ruleCol string) (relation.Schema, []relation.Row, error) {
+	ruleIdx := in.MustIndex(ruleCol)
 	out := make([]relation.Row, len(rows))
-	env := &expr.RowEnv{Rows: rows}
 	for i, r := range rows {
-		env.Idx = i
 		var v relation.Value
 		// Recompile the rule for every single row: maximally naive, and
 		// immune by construction to stale-cache bugs.
@@ -176,11 +204,14 @@ func applyEvalRule(in relation.Schema, rows []relation.Row, op engine.OpDesc) (r
 			if err != nil {
 				return relation.Schema{}, nil, fmt.Errorf("row rule %q: %w", src, err)
 			}
-			v = prog.Eval(env)
+			if prog.UsesWindow() {
+				return relation.Schema{}, nil, fmt.Errorf("row rule %q: window function", src)
+			}
+			v = prog.Eval(&expr.RowEnv{Rows: rows, Idx: i})
 		}
 		out[i] = append(r.Clone(), v)
 	}
-	return in.Append(relation.Column{Name: op.Col, Kind: op.ColKind}), out, nil
+	return in.Append(relation.Column{Name: col, Kind: kind}), out, nil
 }
 
 func applyBroadcastJoin(in relation.Schema, rows []relation.Row, op engine.OpDesc) (relation.Schema, []relation.Row, error) {

@@ -27,7 +27,8 @@ type Result struct {
 // sort and limit. An aggregate without a join runs its scan and
 // aggregate as one engine.ScanAggregate, which answers segments from
 // their footers where it can. cfg tunes the broadcast/shuffle choice;
-// the zero value uses the engine defaults.
+// the zero value uses the engine defaults. Result.Stats sums every
+// step's statistics, except RowsIn: the rows the plan's scans read.
 func Run(ctx context.Context, exec engine.Executor, srcs Sources, p *Plan, cfg engine.PlanConfig) (*Result, error) {
 	res := &Result{PlanKind: engine.PlanBroadcast}
 	src, err := srcs.Source(p.From)
@@ -46,6 +47,7 @@ func Run(ctx context.Context, exec engine.Executor, srcs Sources, p *Plan, cfg e
 		return nil, err
 	}
 	res.Stats.Add(st)
+	rowsIn := st.RowsIn
 
 	if p.Join != nil {
 		rsrc, err := srcs.Source(p.Join.Rel)
@@ -57,6 +59,7 @@ func Run(ctx context.Context, exec engine.Executor, srcs Sources, p *Plan, cfg e
 			return nil, err
 		}
 		res.Stats.Add(st)
+		rowsIn += st.RowsIn
 		var pk engine.PlanKind
 		cur, pk, st, err = engine.DistributedJoin(ctx, exec, cur, right, p.Join.LeftKeys, p.Join.RightKeys, cfg)
 		if err != nil {
@@ -98,6 +101,7 @@ func Run(ctx context.Context, exec engine.Executor, srcs Sources, p *Plan, cfg e
 	if p.Limit >= 0 {
 		cur = limitRelation(cur, p.Limit)
 	}
+	res.Stats.RowsIn = rowsIn
 	res.Rel = cur
 	return res, nil
 }
