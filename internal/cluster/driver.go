@@ -413,7 +413,7 @@ func (d *Driver) RunSegmentStage(ctx context.Context, refs []engine.SegmentRef, 
 	rowsIn := 0
 	for _, ref := range refs {
 		if !ref.Skip() {
-			rowsIn += ref.Rows
+			rowsIn += ref.ReadRows()
 		} else if sr.prunedPipe == nil {
 			if sr.prunedPipe, _, err = engine.CompileStage(schema, ops); err != nil {
 				return nil, engine.Stats{}, err
@@ -603,6 +603,7 @@ func (d *Driver) sendTask(c *conn, sr *stageRun, pi, epoch int) (pressured bool,
 		// itself; nothing to encode or ship.
 		task.SegPath = sr.segs[pi].Path
 		task.SegCols = sr.segs[pi].Cols
+		task.SegRanges = sr.segs[pi].Ranges
 	} else {
 		data, err := sr.in.encode(pi)
 		if err != nil {

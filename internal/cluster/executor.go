@@ -481,7 +481,7 @@ func (s *ExecutorServer) runTask(stages map[uint64]*engine.StagePipeline, stageE
 		// may lack it transiently) and therefore retryable elsewhere; a
 		// segment whose columns don't match the stage's input schema is
 		// a planning bug and aborts deterministically.
-		s, segRows, err := segstore.ReadSegmentRows(task.SegPath, task.SegCols)
+		s, segRows, err := segstore.ReadSegmentRows(task.SegPath, task.SegCols, task.SegRanges)
 		if err != nil {
 			return fail(engine.Retryable(fmt.Errorf("segment %s: %w", task.SegPath, err))), false
 		}

@@ -40,6 +40,13 @@ type Plan struct {
 	// Once reverts the proxy to Passthrough after this plan has been
 	// applied to one connection.
 	Once bool
+	// UntilFired keeps the plan in force for every new connection until
+	// one of its faults (stall, sever, corrupt) has actually fired on
+	// some connection, then reverts the proxy to Passthrough. Unlike
+	// Once, a connection that closes before reaching the fault's offset
+	// (a handshake the client abandoned and redialed) does not use the
+	// plan up, so the fault lands exactly where scripted.
+	UntilFired bool
 }
 
 // Passthrough is the no-fault plan.
@@ -135,6 +142,9 @@ func (p *Proxy) accept() {
 			continue
 		}
 		l := &link{client: client, backend: backend, done: make(chan struct{})}
+		if plan.UntilFired {
+			l.fired = p.Reset
+		}
 		p.mu.Lock()
 		p.links[l] = struct{}{}
 		p.mu.Unlock()
@@ -165,6 +175,14 @@ type link struct {
 
 	once sync.Once
 	done chan struct{}
+	// fired, when non-nil, runs when one of the plan's faults fires.
+	fired func()
+}
+
+func (l *link) fire() {
+	if l.fired != nil {
+		l.fired()
+	}
 }
 
 func (l *link) close() {
@@ -189,11 +207,13 @@ func (l *link) pump(dst, src net.Conn, plan Plan, response bool) {
 			if response {
 				if plan.CorruptAt >= 0 && plan.CorruptAt >= off && plan.CorruptAt < off+int64(n) {
 					b[plan.CorruptAt-off] ^= 0xFF
+					l.fire()
 				}
 				if plan.StallAfter >= 0 && off+int64(n) > plan.StallAfter {
 					if keep := plan.StallAfter - off; keep > 0 {
 						_, _ = dst.Write(b[:keep])
 					}
+					l.fire()
 					// Hang forever (until the link is severed): the
 					// backend produced bytes the client never sees.
 					<-l.done
@@ -203,6 +223,7 @@ func (l *link) pump(dst, src net.Conn, plan Plan, response bool) {
 					if keep := plan.SeverAfter - off; keep > 0 {
 						_, _ = dst.Write(b[:keep])
 					}
+					l.fire()
 					return // defer severs both sides
 				}
 				if plan.Latency > 0 {

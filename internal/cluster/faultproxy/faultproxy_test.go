@@ -189,3 +189,52 @@ func TestOnceRevertsToPassthrough(t *testing.T) {
 		t.Fatalf("echo after Once revert = %q", got)
 	}
 }
+
+// TestUntilFiredHoldsUntilTheFaultLands: a connection that closes
+// before reaching the sever offset does not use the plan up; the next
+// one is severed, and only after that does the proxy pass through.
+func TestUntilFiredHoldsUntilTheFaultLands(t *testing.T) {
+	backend, cleanup := echoServer(t)
+	defer cleanup()
+	p, err := New(backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	plan := Passthrough()
+	plan.SeverAfter = 3
+	plan.UntilFired = true
+	p.SetPlan(plan)
+
+	// Two bytes, then the client gives up: the fault never fires.
+	c1 := dialProxy(t, p)
+	if _, err := c1.Write([]byte("ab")); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 2)
+	if _, err := io.ReadFull(c1, got); err != nil {
+		t.Fatal(err)
+	}
+	c1.Close()
+
+	// The next connection is still severed at byte 3.
+	c2 := dialProxy(t, p)
+	defer c2.Close()
+	if _, err := c2.Write([]byte("abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := io.ReadAll(c2); string(got) != "abc" {
+		t.Fatalf("second connection received %q, want the sever at %q", got, "abc")
+	}
+
+	// The fault fired: new connections pass through.
+	c3 := dialProxy(t, p)
+	defer c3.Close()
+	if _, err := c3.Write([]byte("abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	got = make([]byte, 6)
+	if _, err := io.ReadFull(c3, got); err != nil || string(got) != "abcdef" {
+		t.Fatalf("after the fault fired: %q, %v", got, err)
+	}
+}

@@ -125,6 +125,12 @@ type taskMsg struct {
 	// segment scheduling is opt-in per stage via Driver.RunSegmentStage.
 	SegPath string
 	SegCols []string
+	// SegRanges, when non-nil, restricts a segment-backed task to these
+	// page-aligned row ranges of the segment (engine.SegmentRef.Ranges;
+	// gob-additive like SegPath). An executor that predates it reads the
+	// whole segment, which the stage's own Filter reduces to the same
+	// rows.
+	SegRanges []engine.RowRange
 }
 
 // resultMsg returns the transformed partition, columnar-encoded against

@@ -57,6 +57,11 @@ func peerProxyCluster(t *testing.T, ctx context.Context) (drv *Driver, proxy *fa
 // must fail retryably and be re-run — re-pushing a deterministically
 // identical run that the receiver dedups — and the stage must complete
 // bitwise-correct, not abort.
+//
+// The sever is held (UntilFired) until it has cut a push ack: a Once
+// plan is used up by the first connection the proxy accepts, and under
+// load that can be a peer handshake the pusher times out and redials,
+// so the redial would absorb the fault and no map task would fail.
 func TestChaosShufflePeerSevered(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -65,7 +70,7 @@ func TestChaosShufflePeerSevered(t *testing.T) {
 
 	plan := faultproxy.Passthrough()
 	plan.SeverAfter = ackLen(t, 1) + 4 // handshake passes; die inside the first push ack
-	plan.Once = true
+	plan.UntilFired = true
 	proxy.SetPlan(plan)
 
 	rel := keyedRel(2000, 8)

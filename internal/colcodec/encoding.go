@@ -84,109 +84,25 @@ func valueBytes(v relation.Value) int {
 	return 0
 }
 
-// dictKey is a map key carrying a cell's identity under valueSameBits
-// (the column is homogeneous, so the kind is implied).
-type dictKey struct {
-	i int64
-	f uint64
-	s string
-}
-
-func keyOf(v relation.Value) dictKey {
-	k := dictKey{i: v.I, f: math.Float64bits(v.F), s: v.S}
-	if v.K == relation.KindBytes {
-		k.s = string(v.B)
-	}
-	return k
-}
-
 // encodeColumnSelect writes one column under the flagEncoded layout,
 // choosing the cheapest of raw/dict/RLE by exact byte cost.
 func encodeColumnSelect(w *bytes.Buffer, rows []relation.Row, ci int, scratch []byte) {
-	kind, mixed, nulls := classifyColumn(rows, ci)
-	if mixed || kind == relation.KindNull || kind == relation.KindBool {
-		w.WriteByte(encRaw)
-		mEncodings.With("raw").Inc()
-		encodeColumn(w, rows, ci, scratch)
-		return
-	}
-
-	rawB, dictB, rleB := columnCosts(rows, ci)
-	enc := byte(encRaw)
-	best := rawB
-	if dictB < best {
-		enc, best = encDict, dictB
-	}
-	if rleB < best {
-		enc = encRLE
-	}
+	sz := sizeColumn(rows, ci)
+	enc := sz.Choose()
+	kind, _, nulls := sz.Kind()
+	w.WriteByte(byte(enc))
+	mEncodings.With(enc.String()).Inc()
 	switch enc {
-	case encDict:
-		w.WriteByte(encDict)
-		mEncodings.With("dict").Inc()
-		encodeDict(w, rows, ci, kind, nulls, scratch)
-	case encRLE:
-		w.WriteByte(encRLE)
-		mEncodings.With("rle").Inc()
+	case EncDict:
+		vals, ids := buildDict(rows, ci, &sz.dict)
+		writeColumnHeader(w, rows, ci, kind, nulls)
+		writeDictValues(w, vals, scratch)
+		writeDictIDs(w, ids, scratch)
+	case EncRLE:
 		encodeRLE(w, rows, ci, kind, nulls, scratch)
 	default:
-		w.WriteByte(encRaw)
-		mEncodings.With("raw").Inc()
 		encodeColumn(w, rows, ci, scratch)
 	}
-}
-
-// columnCosts sizes the three candidate payloads (excluding the shared
-// tag byte and null bitmap) in one pass over the non-null cells. A
-// column with more than maxDictBuild distinct values reports an
-// unreachable dict cost.
-func columnCosts(rows []relation.Row, ci int) (rawB, dictB, rleB int) {
-	dict := make(map[dictKey]int)
-	dictOverflow := false
-	dictValB, dictIdxB := 0, 0
-	nruns, runLen := 0, 0
-	var prev relation.Value
-	for _, r := range rows {
-		v := r[ci]
-		if v.K == relation.KindNull {
-			continue
-		}
-		vb := valueBytes(v)
-		rawB += vb
-		if runLen > 0 && valueSameBits(prev, v) {
-			runLen++
-		} else {
-			if runLen > 0 {
-				rleB += uvarintLen(uint64(runLen)) + valueBytes(prev)
-				nruns++
-			}
-			prev, runLen = v, 1
-		}
-		if !dictOverflow {
-			k := keyOf(v)
-			id, ok := dict[k]
-			if !ok {
-				if len(dict) >= maxDictBuild {
-					dictOverflow = true
-					continue
-				}
-				id = len(dict)
-				dict[k] = id
-				dictValB += vb
-			}
-			dictIdxB += uvarintLen(uint64(id))
-		}
-	}
-	if runLen > 0 {
-		rleB += uvarintLen(uint64(runLen)) + valueBytes(prev)
-		nruns++
-	}
-	rleB += uvarintLen(uint64(nruns))
-	dictB = math.MaxInt
-	if !dictOverflow {
-		dictB = uvarintLen(uint64(len(dict))) + dictValB + dictIdxB
-	}
-	return rawB, dictB, rleB
 }
 
 // writeValue emits one value payload (raw-format cell, sans kind byte).
@@ -217,31 +133,16 @@ func writeColumnHeader(w *bytes.Buffer, rows []relation.Row, ci int, kind relati
 	}
 }
 
-func encodeDict(w *bytes.Buffer, rows []relation.Row, ci int, kind relation.Kind, nulls bool, scratch []byte) {
-	writeColumnHeader(w, rows, ci, kind, nulls)
-	// First-appearance order: the id stream is smallest when early rows
-	// get small ids, and the decoder rebuilds the same order for free.
-	dict := make(map[dictKey]int)
-	var vals []relation.Value
-	ids := make([]int, 0, len(rows))
-	for _, r := range rows {
-		v := r[ci]
-		if v.K == relation.KindNull {
-			continue
-		}
-		k := keyOf(v)
-		id, ok := dict[k]
-		if !ok {
-			id = len(vals)
-			dict[k] = id
-			vals = append(vals, v)
-		}
-		ids = append(ids, id)
-	}
+// writeDictValues emits a dictionary: its size, then each value.
+func writeDictValues(w *bytes.Buffer, vals []relation.Value, scratch []byte) {
 	w.Write(scratch[:binary.PutUvarint(scratch, uint64(len(vals)))])
 	for _, v := range vals {
 		writeValue(w, v, scratch)
 	}
+}
+
+// writeDictIDs emits one dictionary index per non-null cell.
+func writeDictIDs(w *bytes.Buffer, ids []int, scratch []byte) {
 	for _, id := range ids {
 		w.Write(scratch[:binary.PutUvarint(scratch, uint64(id))])
 	}

@@ -63,7 +63,8 @@ func flatten(rel *relation.Relation) *relation.Relation {
 //	oracle(full scan) == ScanStage (pushdown)  over encoded AND compacted
 //
 // plus one ScanStage over the real TCP cluster reading encoded segment
-// files. Raw and encoded stores share a partitioning, so equality is
+// files, and the pushdown over compacted multi-page segments
+// (checkPaged). Raw and encoded stores share a partitioning, so equality is
 // per-partition; compaction changes the layout, so its scans compare
 // flattened and its pushdown runs against its own oracle.
 func (e *Env) checkCompact(ctx context.Context, w *Workload, dir string) []string {
@@ -151,7 +152,10 @@ func (e *Env) checkCompact(ctx context.Context, w *Workload, dir string) []strin
 			fail(fmt.Sprintf("compact-cluster-enc p=%d", p), d)
 		}
 	}
-	return fails
+	// Multi-page segments, encoded, then compacted into rewritten pages.
+	paged, _ := e.checkPaged(ctx, w, dir, "compact", ops, segstore.Options{Encodings: true, Compress: w.Seed%2 == 0}, true,
+		map[string]pagedRun{"pushdown": stageRun(ops)})
+	return append(fails, paged...)
 }
 
 // TestCompactDifferential drives the encoding/compaction invariants

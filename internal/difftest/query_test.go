@@ -211,6 +211,20 @@ func checkQuery(ctx context.Context, local *engine.Local, w *Workload, dir strin
 	return fails
 }
 
+// checkQueryPaged runs the statement checkQuery derives, hand-built and
+// parsed, over multi-page segments (checkPaged), locally and on the
+// TCP cluster.
+func (e *Env) checkQueryPaged(ctx context.Context, w *Workload, dir string) []string {
+	sql, ops := genQuery(w)
+	plan, err := compileFor(w, sql)
+	if err != nil {
+		return []string{Report(w, "query-paged-compile", err.Error())}
+	}
+	fails, _ := e.checkPaged(ctx, w, dir, "query", ops, segstore.Options{Compress: true, Encodings: true}, false,
+		map[string]pagedRun{"hand": stageRun(ops), "parsed": statementRun(plan)})
+	return fails
+}
+
 // diffRowsInOrder compares two relations row by row in partition-major
 // order, ignoring partition boundaries (both subjects are sorted on the
 // same unique key, so order is total).
@@ -259,6 +273,7 @@ func TestQueryDifferential(t *testing.T) {
 		fails := checkQuery(ctx, local, w, t.TempDir())
 		aggFails, n := env.checkQueryAgg(ctx, w, t.TempDir())
 		answered += n
+		fails = append(fails, env.checkQueryPaged(ctx, w, t.TempDir())...)
 		for _, rep := range append(fails, aggFails...) {
 			t.Errorf("\n%s", rep)
 			failures++
@@ -280,7 +295,7 @@ func TestQueryDifferential(t *testing.T) {
 // a wrong min, and the aggregate invariant must catch it with a
 // replayable report.
 func TestQueryDifferentialCatchesTightenedZone(t *testing.T) {
-	segstore.DebugZoneMutate = func(_ string, z *segstore.ZoneMap) {
+	segstore.DebugZoneMutate = func(_ string, _, _ int, z *segstore.ZoneMap) {
 		if z.FHas && z.FMin < z.FMax {
 			z.FMin = (z.FMin + z.FMax) / 2
 		}

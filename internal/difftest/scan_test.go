@@ -104,9 +104,10 @@ func buildScanStore(dir string, w *Workload, nparts int) (*segstore.Store, error
 // (segment-scheduled: executors read the segment files themselves).
 // Pruned segments surface as empty partitions, so bitwise equality
 // proves zone-map pruning only ever skips segments the stage's own
-// Filter would have emptied anyway.
-func (e *Env) checkScan(ctx context.Context, w *Workload, dir string) []string {
-	var fails []string
+// Filter would have emptied anyway. checkPaged then repeats the pushdown
+// over multi-page segments, locally and on the cluster, so page
+// pruning is held to the same standard; it returns the pages pruned.
+func (e *Env) checkScan(ctx context.Context, w *Workload, dir string) (fails []string, pagesPruned int) {
 	fail := func(invariant, detail string) {
 		fails = append(fails, Report(w, invariant, detail))
 	}
@@ -151,7 +152,9 @@ func (e *Env) checkScan(ctx context.Context, w *Workload, dir string) []string {
 			fail(fmt.Sprintf("scan-cluster p=%d", p), d)
 		}
 	}
-	return fails
+	paged, pagesPruned := e.checkPaged(ctx, w, dir, "scan", ops, segstore.Options{Compress: w.Seed%2 == 0}, false,
+		map[string]pagedRun{"pushdown": stageRun(ops)})
+	return append(fails, paged...), pagesPruned
 }
 
 // TestScanDifferential drives the segment-scan invariants over the
@@ -174,19 +177,26 @@ func TestScanDifferential(t *testing.T) {
 			seeds = append(seeds, *flagBase+i)
 		}
 	}
-	failures := 0
+	failures, pagesPruned := 0, 0
 	for _, seed := range seeds {
 		w := Generate(seed)
 		if *flagScan {
 			t.Logf("seed %d ops:\n%s", seed, FormatOps(scanRootOps(w)))
 		}
-		for _, rep := range env.checkScan(ctx, w, t.TempDir()) {
+		fails, pruned := env.checkScan(ctx, w, t.TempDir())
+		pagesPruned += pruned
+		for _, rep := range fails {
 			t.Errorf("\n%s", rep)
 			failures++
 		}
 		if failures >= 3 {
 			t.Fatalf("stopping after %d mismatches", failures)
 		}
+	}
+	// Sorted multi-page segments make page pruning routine; none at all
+	// across a population means the page index is not consulted.
+	if len(seeds) >= 10 && pagesPruned == 0 {
+		t.Fatalf("no page was pruned across %d workloads", len(seeds))
 	}
 }
 
@@ -198,7 +208,7 @@ func TestScanDifferential(t *testing.T) {
 // (Loosened bounds merely forfeit pruning — correct by the
 // conservative contract — so tightening is the detectable direction.)
 func TestScanDifferentialCatchesTightenedZone(t *testing.T) {
-	segstore.DebugZoneMutate = func(_ string, z *segstore.ZoneMap) {
+	segstore.DebugZoneMutate = func(_ string, _, _ int, z *segstore.ZoneMap) {
 		if z.FHas {
 			mid := (z.FMin + z.FMax) / 2
 			z.FMin, z.FMax = mid, mid
@@ -250,4 +260,49 @@ func TestScanDifferentialCatchesTightenedZone(t *testing.T) {
 	if !caught {
 		t.Fatal("tightened zone maps never pruned a live segment across 500 seeded workloads")
 	}
+}
+
+// TestScanDifferentialCatchesTightenedPageZone demonstrates detection
+// power for page pruning: the last page's zone map claims a maximum
+// just below its true one (injected via segstore.DebugZoneMutate, page
+// zones only), so a filter matching only the segment's last rows prunes
+// the page that holds them. The paged pushdown invariant must catch the
+// missing rows with a replayable report.
+func TestScanDifferentialCatchesTightenedPageZone(t *testing.T) {
+	segstore.DebugZoneMutate = func(_ string, page, pages int, z *segstore.ZoneMap) {
+		if page < 0 || page != pages-1 {
+			return // the segment zone and the other pages stay true
+		}
+		if z.FHas {
+			z.FMax = math.Nextafter(z.FMax, math.Inf(-1))
+		}
+		if z.SHas && z.SMax != "" {
+			z.SMax = z.SMax[:len(z.SMax)-1]
+		}
+	}
+	defer func() { segstore.DebugZoneMutate = nil }()
+	ctx := context.Background()
+	env, err := NewEnv(ctx)
+	if err != nil {
+		t.Fatalf("start cluster env: %v", err)
+	}
+	defer env.Close()
+
+	for seed := int64(1); seed <= 500; seed++ {
+		w := Generate(seed)
+		ops := scanRootOps(w)
+		fails, _ := env.checkPaged(ctx, w, t.TempDir(), "scan", ops, segstore.Options{}, false,
+			map[string]pagedRun{"pushdown": stageRun(ops)})
+		if len(fails) == 0 {
+			continue
+		}
+		for _, token := range []string{"seed:", "-difftest.seed=", "scan-paged-pushdown"} {
+			if !strings.Contains(fails[0], token) {
+				t.Fatalf("report missing %q:\n%s", token, fails[0])
+			}
+		}
+		t.Logf("tightened last-page zone caught at seed %d:\n%s", seed, fails[0])
+		return
+	}
+	t.Fatal("tightened last-page zones never dropped a matching row across 500 seeded workloads")
 }

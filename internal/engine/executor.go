@@ -56,6 +56,11 @@ type Stats struct {
 	// SegmentsAnswered counts segments whose partial aggregate
 	// ScanAggregate took from the segment footer instead of decoding.
 	SegmentsAnswered int
+	// PagesScanned and PagesPruned count, over the live segments whose
+	// footers a pushed filter made the scan consult, the pages it read
+	// and the pages their page zone maps let it skip.
+	PagesScanned int
+	PagesPruned  int
 }
 
 // Add accumulates another stage's stats.
@@ -79,6 +84,8 @@ func (s *Stats) Add(o Stats) {
 	s.ShuffleBytesPushed += o.ShuffleBytesPushed
 	s.ShuffleBarrierWall += o.ShuffleBarrierWall
 	s.SegmentsAnswered += o.SegmentsAnswered
+	s.PagesScanned += o.PagesScanned
+	s.PagesPruned += o.PagesPruned
 }
 
 // Executor runs a stage — a narrow-operator pipeline over every

@@ -61,6 +61,13 @@ type ScanSource interface {
 // AnswerBytes goes with it: the string and byte payload of the
 // segment's scanned cells, also proved from the footer, from which
 // ScanAggregate sizes the rows it did not decode.
+//
+// Ranges, when non-nil, restricts the read to these row ranges of the
+// segment: the pages whose page zone maps leave the pushed filters
+// satisfiable, in order. Every row outside them provably fails a pushed
+// filter, so the stage's output is the same either way. Pages is the
+// segment's page count when its footer was consulted (0 otherwise), and
+// PagesPruned the pages outside Ranges.
 type SegmentRef struct {
 	Path        string
 	Cols        []string
@@ -68,12 +75,46 @@ type SegmentRef struct {
 	Pruned      bool
 	Answer      relation.Row
 	AnswerBytes int64
+	Ranges      []RowRange
+	Pages       int
+	PagesPruned int
 }
 
-// Skip reports whether a scan leaves the segment unread: pruned, or
-// answered from its footer. Skipped segments surface as empty
-// partitions, keeping partition indexes stable.
-func (r SegmentRef) Skip() bool { return r.Pruned || r.Answer != nil }
+// RowRange is the half-open row interval [Lo, Hi) of one segment.
+type RowRange struct{ Lo, Hi int }
+
+// Skip reports whether a scan leaves the segment unread: pruned,
+// answered from its footer, or with every page pruned. Skipped segments
+// surface as empty partitions, keeping partition indexes stable.
+func (r SegmentRef) Skip() bool {
+	return r.Pruned || r.Answer != nil || (r.Ranges != nil && len(r.Ranges) == 0)
+}
+
+// ReadRows returns the rows a scan of the segment reads: those in
+// Ranges, or all of them.
+func (r SegmentRef) ReadRows() int {
+	if r.Ranges == nil {
+		return r.Rows
+	}
+	n := 0
+	for _, rr := range r.Ranges {
+		n += rr.Hi - rr.Lo
+	}
+	return n
+}
+
+// pageStats counts the pages a scan of refs reads and the ones page
+// zone maps let it skip, over the segments whose footers were consulted.
+func pageStats(refs []SegmentRef) (scanned, pruned int) {
+	for _, r := range refs {
+		if r.Pruned || r.Answer != nil {
+			continue
+		}
+		scanned += r.Pages - r.PagesPruned
+		pruned += r.PagesPruned
+	}
+	return scanned, pruned
+}
 
 // SegmentLister is the optional ScanSource capability behind
 // segment-scheduled scans: it exposes the segment files a Pushdown
@@ -187,26 +228,34 @@ func runScanStage(ctx context.Context, exec Executor, src ScanSource, pd Pushdow
 			return nil, Stats{}, err
 		}
 	}
-	if se, ok := exec.(SegmentExecutor); ok {
-		refs := pd.Segments
-		if sl, ok := src.(SegmentLister); ok && refs == nil {
-			var err error
-			if refs, err = sl.Segments(pd); err != nil {
-				return nil, Stats{}, err
-			}
-		}
-		if refs != nil {
-			return se.RunSegmentStage(ctx, refs, scanSchema, ops)
+	// A segment source resolves its segments (and their page ranges)
+	// here, so the scan, the segment-scheduled stage and the page
+	// counters all see one manifest snapshot.
+	if sl, ok := src.(SegmentLister); ok && pd.Segments == nil {
+		var err error
+		if pd.Segments, err = sl.Segments(pd); err != nil {
+			return nil, Stats{}, err
 		}
 	}
-	rel, err := src.Scan(ctx, pd)
+	var rel *relation.Relation
+	var st Stats
+	var err error
+	if se, ok := exec.(SegmentExecutor); ok && pd.Segments != nil {
+		rel, st, err = se.RunSegmentStage(ctx, pd.Segments, scanSchema, ops)
+	} else {
+		if rel, err = src.Scan(ctx, pd); err != nil {
+			return nil, Stats{}, err
+		}
+		if !rel.Schema.Equal(scanSchema) {
+			return nil, Stats{}, fmt.Errorf("scan: source returned schema %s, want %s", rel.Schema, scanSchema)
+		}
+		rel, st, err = exec.RunStage(ctx, rel, ops)
+	}
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if !rel.Schema.Equal(scanSchema) {
-		return nil, Stats{}, fmt.Errorf("scan: source returned schema %s, want %s", rel.Schema, scanSchema)
-	}
-	return exec.RunStage(ctx, rel, ops)
+	st.PagesScanned, st.PagesPruned = pageStats(pd.Segments)
+	return rel, st, nil
 }
 
 // MemSource adapts an in-memory relation to ScanSource: it restricts

@@ -42,7 +42,7 @@
 //     always qualify; any other scanned column must as well.
 //
 // Ties: the cell kept is the FIRST of the cells comparing equal to the
-// extreme, both in zoneOf (f < FMin, f > FMax) and in the partial
+// extreme, both in the zone accumulator (f < FMin, f > FMax) and in the partial
 // aggregate (Value.Compare's strict < and >). So a float column holding
 // -0 and +0 answers the one that came first, as the decode would.
 package segstore

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ivnt/internal/colcodec"
 	"ivnt/internal/engine"
 	"ivnt/internal/relation"
 	"ivnt/internal/telemetry"
@@ -179,29 +180,36 @@ func TestKindFlagsRejectedByParser(t *testing.T) {
 	}
 }
 
-// downgradeToV1 rewrites a sealed segment file as format version 1:
-// same chunks, footer re-encoded without the kind bits.
-func downgradeToV1(t *testing.T, path string) {
+// downgradeTo rewrites a sealed segment file in the unpaged layout of
+// format version ver (1 or 2): one colcodec chunk per column, encoded
+// under opts, and a footer without a page index; v1 also drops the
+// zone kind bits, which it predates. The rows stay bit for bit.
+func downgradeTo(t *testing.T, path string, ver byte, opts colcodec.Options) {
 	t.Helper()
 	g, err := OpenSegment(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	foot := *g.foot
+	s, rows, err := g.ReadColumns(nil)
 	g.Close()
-	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	footOff := len(raw) - trailerLen - int(le32(raw[len(raw)-trailerLen:]))
-	foot.version = 1
-	foot.cols = append([]colMeta(nil), foot.cols...)
-	for i := range foot.cols {
-		foot.cols[i].zone.FloatsOnly, foot.cols[i].zone.IntsOnly = false, false
+	foot := &footer{version: ver, rows: len(rows), cols: make([]colMeta, s.Len())}
+	out := append(append([]byte{}, headerMagic[:]...), ver)
+	for ci, c := range s.Cols {
+		chunk, err := colcodec.EncodeColumn(rows, ci, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := zoneOf(rows, ci)
+		if ver < 2 {
+			z.FloatsOnly, z.IntsOnly = false, false
+		}
+		foot.cols[ci] = colMeta{name: c.Name, kind: c.Kind, off: int64(len(out)), size: int64(len(chunk)), zone: z}
+		out = append(out, chunk...)
 	}
-	fb := encodeFooter(&foot)
-	out := append([]byte{}, raw[:footOff]...)
-	out[4] = 1
+	fb := encodeFooter(foot)
 	out = append(out, fb...)
 	out = appendLE32(out, uint32(len(fb)))
 	out = appendLE32(out, crc32.ChecksumIEEE(fb))
@@ -311,7 +319,7 @@ func TestScanAggregateWithoutAnswersKeepsPlan(t *testing.T) {
 	keyedStore(t, v1Dir)
 	matches, _ := filepath.Glob(filepath.Join(v1Dir, "seg-*.ivsg"))
 	for _, p := range matches {
-		downgradeToV1(t, p)
+		downgradeTo(t, p, 1, colcodec.Options{Compress: true, Encodings: true})
 	}
 	v1, err := Open(v1Dir, relation.Schema{}, Options{})
 	if err != nil {
@@ -339,6 +347,52 @@ func TestScanAggregateWithoutAnswersKeepsPlan(t *testing.T) {
 				t.Fatalf("%s threshold %d: plan %v (want %v), %d answered\n  want %v\n  got  %v",
 					name, cfg.BroadcastThreshold, pk, wantPK, stats.SegmentsAnswered, want.Rows(), got.Rows())
 			}
+		}
+	}
+}
+
+// TestV2SegmentsReadPruneAndAnswer: unpaged v2 segments, as stores
+// sealed before the page index hold them, still answer aggregates from
+// their footers, prune whole segments, and read as one page.
+func TestV2SegmentsReadPruneAndAnswer(t *testing.T) {
+	ctx := context.Background()
+	local := engine.NewLocal(2)
+	dir := t.TempDir()
+	keyedStore(t, dir)
+	want, err := Open(dir, relation.Schema{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, err := want.Scan(ctx, engine.Pushdown{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, _ := filepath.Glob(filepath.Join(dir, "seg-*.ivsg"))
+	for _, p := range matches {
+		downgradeTo(t, p, 2, colcodec.Options{Compress: true, Encodings: true})
+	}
+	st, err := Open(dir, relation.Schema{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Scan(ctx, engine.Pushdown{})
+	if err != nil || !cellsBitwise(wantRows, got) {
+		t.Fatalf("v2 rows differ from the v3 store's (err %v)", err)
+	}
+	ops := []engine.OpDesc{engine.Project("k", "x")}
+	groupBy, aggs := []string{"k"}, minMaxCount("x")
+	wantAgg, _ := baselineAggregate(t, local, st, ops, groupBy, aggs, engine.PlanConfig{})
+	gotAgg, _, stats, err := engine.ScanAggregate(ctx, local, st, ops, groupBy, aggs, engine.PlanConfig{})
+	if err != nil || !cellsBitwise(wantAgg, gotAgg) || stats.SegmentsAnswered != 3 {
+		t.Fatalf("v2 aggregate: %d answered (want 3), err %v", stats.SegmentsAnswered, err)
+	}
+	refs, err := st.Segments(engine.Pushdown{Filters: []string{`k == "b"`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range refs {
+		if r.Pruned != (i != 1) || r.Ranges != nil || r.Pages != 1 {
+			t.Fatalf("segment %d: %+v, want pruned except \"b\", one page, no ranges", i, r)
 		}
 	}
 }

@@ -22,12 +22,7 @@ func validSegmentBytes(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b []byte
-	b = append(b, img.header...)
-	for _, c := range img.chunks {
-		b = append(b, c...)
-	}
-	return append(b, img.tail...)
+	return img.bytes()
 }
 
 // assemble builds a segment file from a hand-crafted footer body with a
@@ -92,9 +87,9 @@ func kindFlagFooter(ver byte, chunk []byte, numKind, strs uint64, flags byte) []
 func kindFlagFooters(chunk []byte) map[string][]byte {
 	return map[string][]byte{
 		// All-float over a column with no int/float cell.
-		"zone-floatonly-without-numbers": kindFlagFooter(formatVersion, chunk, 0, 1, zoneFlagS|zoneFlagFloats),
+		"zone-floatonly-without-numbers": kindFlagFooter(2, chunk, 0, 1, zoneFlagS|zoneFlagFloats),
 		// All-float and all-int at once.
-		"zone-floatonly-and-intonly": kindFlagFooter(formatVersion, chunk, 1, 0, zoneFlagF|zoneFlagFloats|zoneFlagInts),
+		"zone-floatonly-and-intonly": kindFlagFooter(2, chunk, 1, 0, zoneFlagF|zoneFlagFloats|zoneFlagInts),
 		// A kind bit in a v1 footer, which predates them.
 		"zone-kind-bit-in-v1-footer": kindFlagFooter(1, chunk, 1, 0, zoneFlagF|zoneFlagFloats),
 	}
@@ -115,7 +110,7 @@ func maliciousSegments(t testing.TB) map[string][]byte {
 	// segment that contains 2.0.
 	chunk := oneFloatColumn(t)
 	w := newByteWriter()
-	w.byte(formatVersion)
+	w.byte(2)
 	w.uvarint(1) // rows
 	w.uvarint(1) // cols
 	w.str("v")
@@ -135,7 +130,7 @@ func maliciousSegments(t testing.TB) map[string][]byte {
 	// 3. Column-count overflow: a footer claiming 2^20 columns (far past
 	// maxCols) to bait a huge allocation before any per-column data.
 	w = newByteWriter()
-	w.byte(formatVersion)
+	w.byte(2)
 	w.uvarint(1)
 	w.uvarint(1 << 20)
 	overflow := assemble(nil, w.bytes())
@@ -204,7 +199,7 @@ func maliciousChunkSegments(t testing.TB) map[string][]byte {
 	// claimed 8 int rows, float bounds are ordered, CRC is correct.
 	wrap := func(chunk []byte) []byte {
 		w := newByteWriter()
-		w.byte(formatVersion)
+		w.byte(2)
 		w.uvarint(8) // rows
 		w.uvarint(1) // cols
 		w.str("v")
@@ -232,6 +227,9 @@ func maliciousChunkSegments(t testing.TB) map[string][]byte {
 func allMaliciousSegments(t testing.TB) map[string][]byte {
 	all := maliciousSegments(t)
 	for name, data := range maliciousChunkSegments(t) {
+		all[name] = data
+	}
+	for name, data := range maliciousPageSegments(t) {
 		all[name] = data
 	}
 	return all
@@ -353,11 +351,13 @@ func FuzzFooter(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var dataEnd int64 = int64(headerLen)
-	for _, c := range img.chunks {
-		dataEnd += int64(len(c))
-	}
+	dataEnd := int64(headerLen + len(img.chunks))
 	f.Add(img.tail[:len(img.tail)-trailerLen], uint32(dataEnd))
+	for _, data := range maliciousPageSegments(f) {
+		flen := int64(le32(data[len(data)-trailerLen:]))
+		footOff := int64(len(data)) - trailerLen - flen
+		f.Add(data[footOff:len(data)-trailerLen], uint32(footOff))
+	}
 	f.Add([]byte{formatVersion, 0, 0}, uint32(headerLen))
 	chunk := oneFloatColumn(f)
 	for _, body := range kindFlagFooters(chunk) {

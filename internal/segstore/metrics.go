@@ -25,6 +25,10 @@ var (
 		"Adjacent segment groups rewritten into one segment by compaction.")
 	mSegmentsMmapped = telemetry.Default().Counter("segstore_mmap_segments_total",
 		"Segment files opened via mmap (zero-copy chunk reads).")
+	mPagesScanned = telemetry.Default().Counter("segstore_pages_scanned_total",
+		"Segment pages decoded for a scan (a v1/v2 segment counts as one page).")
+	mPagesPruned = telemetry.Default().Counter("segstore_pages_pruned_total",
+		"Pages of live segments skipped by page zone maps (their bytes never read).")
 )
 
 // metricNames lists the families this package must register.
@@ -36,6 +40,8 @@ var metricNames = []string{
 	"segstore_bytes_decoded_total",
 	"segstore_compactions_total",
 	"segstore_mmap_segments_total",
+	"segstore_pages_scanned_total",
+	"segstore_pages_pruned_total",
 }
 
 // VerifyMetrics is the vet-metrics gate for the segstore catalogue: it

@@ -28,7 +28,7 @@ func serialScan(t *testing.T, st *Store, pd engine.Pushdown) [][]relation.Row {
 		if ref.Pruned {
 			continue
 		}
-		if _, parts[i], err = ReadSegmentRows(ref.Path, ref.Cols); err != nil {
+		if _, parts[i], err = ReadSegmentRows(ref.Path, ref.Cols, ref.Ranges); err != nil {
 			t.Fatal(err)
 		}
 	}

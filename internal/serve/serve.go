@@ -154,6 +154,10 @@ type StatsJSON struct {
 	// SegmentsAnswered counts segments an aggregate took from the
 	// segment footers without decoding (engine.ScanAggregate).
 	SegmentsAnswered int `json:"segments_answered"`
+	// PagesScanned and PagesPruned count the segment pages a filtered
+	// scan read and the ones page zone maps let it skip.
+	PagesScanned int `json:"pages_scanned"`
+	PagesPruned  int `json:"pages_pruned"`
 }
 
 // httpError carries a status code out of the query path.
@@ -369,6 +373,8 @@ func render(res *query.Result) *Response {
 			WallMS:  float64(res.Stats.Wall) / float64(time.Millisecond),
 
 			SegmentsAnswered: res.Stats.SegmentsAnswered,
+			PagesScanned:     res.Stats.PagesScanned,
+			PagesPruned:      res.Stats.PagesPruned,
 		},
 	}
 }

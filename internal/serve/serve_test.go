@@ -477,6 +477,46 @@ func TestServeReportsAnsweredSegments(t *testing.T) {
 	}
 }
 
+// TestServePointQueryPrunesPages: a point query (one signal, a time
+// window) over signal segments of several pages reads only the pages
+// its window can match, and says so in its stats and metrics.
+func TestServePointQueryPrunesPages(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "trace")
+	st, err := segstore.Open(dir, traceSchema(), segstore.Options{Compress: true, Encodings: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4 * segstore.PageRows
+	for _, sid := range []string{"a", "b"} {
+		rows := make([]relation.Row, n)
+		for i := range rows {
+			rows[i] = relation.Row{relation.Int(int64(i)), relation.Float(float64(i / 50)), relation.Str(sid)}
+		}
+		if err := st.AppendSegment(rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newTestServer(t, map[string]*TenantConfig{
+		"acme": {Relations: map[string]string{"trace": dir}},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := httpClient{t, ts.URL}
+
+	pruned := counter("segstore_pages_pruned_total")
+	lo := segstore.PageRows + 10
+	resp := c.query("acme", fmt.Sprintf(`SELECT ts, val FROM trace WHERE sid == "b" && ts >= %d && ts < %d`, lo, lo+100))
+	if resp.RowCount != 100 || resp.Stats.RowsIn != segstore.PageRows {
+		t.Fatalf("%d rows out, %d read; want 100 out of one %d-row page", resp.RowCount, resp.Stats.RowsIn, segstore.PageRows)
+	}
+	if resp.Stats.PagesScanned != 1 || resp.Stats.PagesPruned != 3 {
+		t.Fatalf("pages scanned %d, pruned %d; want 1 and 3", resp.Stats.PagesScanned, resp.Stats.PagesPruned)
+	}
+	if d := counter("segstore_pages_pruned_total") - pruned; d != 3 {
+		t.Fatalf("segstore_pages_pruned_total advanced by %d, want 3", d)
+	}
+}
+
 // endless is an io.Reader of repeated bytes that never ends.
 type endless byte
 
