@@ -96,9 +96,10 @@ fuzz-smoke:
 	$(GO) test ./internal/segstore/ -run '^$$' -fuzz '^FuzzSegmentDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/segstore/ -run '^$$' -fuzz '^FuzzFooter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query/ -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz '^FuzzQueryHandler$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mining/assoc/ -run '^$$' -fuzz '^FuzzMine$$' -fuzztime $(FUZZTIME)
 
-# Codec, join-stage and cluster micro-benchmarks, then the wire,
+# Codec, join-stage, cluster and store page-read micro-benchmarks, then the wire,
 # pipeline, spill, shuffle, scan and serve experiments, which refresh
 # their sections of BENCH_engine.json (the writer merges, so none
 # clobbers another's).
@@ -107,6 +108,7 @@ bench: build
 	$(GO) test -run NONE -bench 'BenchmarkInterpretStage' -benchtime 0.5s ./internal/engine/
 	$(GO) test -run NONE -bench 'BenchmarkFusedPipeline|BenchmarkBroadcastJoinVec|BenchmarkSortWithin' -benchtime 0.5s ./internal/engine/
 	$(GO) test -run NONE -bench 'BenchmarkClusterStage' -benchtime 0.5s ./internal/cluster/
+	$(GO) test -run NONE -bench 'BenchmarkStoreScanPages' -benchtime 0.5s ./internal/segstore/
 	$(GO) run ./cmd/benchmark -exp wire -out BENCH_engine.json
 	$(GO) run ./cmd/benchmark -exp pipeline -out BENCH_engine.json
 	$(GO) run ./cmd/benchmark -exp spill -out BENCH_engine.json

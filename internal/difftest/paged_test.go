@@ -105,16 +105,56 @@ func statementRun(p *query.Plan) pagedRun {
 	}
 }
 
-// checkPaged holds the page index to the oracle: for P ∈ {1, 2, 7} it
-// seals the workload as P multi-page segments (pagedSegments, sorted on
-// ops' filter column, under opts; compacted first when compact is set),
+// checkPaged holds the page index and the store's segment cache to the
+// oracle: for P ∈ {1, 2, 7} it seals the workload as P multi-page
+// segments (pagedSegments, sorted on ops' filter column, under opts),
 // and requires every subject, run in-process and on the TCP cluster
 // (where executors read only the selected pages themselves), to equal
-// oracle(full scan + ops) bitwise. It returns the mismatch reports and
-// the pages page zone maps pruned.
+// oracle(segment files + ops) bitwise — twice through the same Store,
+// cold and then warm, so the second pass reads the footers and
+// dictionaries the first one cached. The oracle's input is read from
+// the files directly (segstore.ReadSegmentRows), not through the cache.
+// When compact is set, a first pass caches the segments before they are
+// compacted, and no later pass may read them back from the cache. After
+// the passes the cache may hold entries only for segments the manifest
+// names. It returns the mismatch reports and the pages page zone maps
+// pruned.
 func (e *Env) checkPaged(ctx context.Context, w *Workload, dir, family string, ops []engine.OpDesc, opts segstore.Options, compact bool, subjects map[string]pagedRun) (fails []string, pruned int) {
 	fail := func(invariant, detail string) {
 		fails = append(fails, Report(w, family+"-paged-"+invariant, detail))
+	}
+	// pass runs every subject on both executors against ref.
+	pass := func(st *segstore.Store, ref *relation.Relation, stage string, p int) {
+		for name, run := range subjects {
+			for _, exec := range []engine.Executor{e.Local, e.driver()} {
+				got, stats, err := run(ctx, exec, st)
+				where := fmt.Sprintf("%s-%s-%s p=%d", name, exec.Name(), stage, p)
+				if err != nil {
+					fail(where, err.Error())
+				} else if d := DiffExact(ref, got); d != "" {
+					fail(where, d)
+				}
+				pruned += stats.PagesPruned
+			}
+		}
+	}
+	// oracleOf is oracle(segment files + ops) for st as it stands.
+	oracleOf := func(st *segstore.Store, stage string, p int) (*relation.Relation, bool) {
+		full := &relation.Relation{Schema: st.Schema()}
+		for _, path := range st.SegmentPaths() {
+			_, rows, err := segstore.ReadSegmentRows(path, nil, nil)
+			if err != nil {
+				fail(fmt.Sprintf("full-%s p=%d", stage, p), err.Error())
+				return nil, false
+			}
+			full.Partitions = append(full.Partitions, rows)
+		}
+		ref, err := oracle.RunStage(full, ops)
+		if err != nil {
+			fail(fmt.Sprintf("oracle-%s p=%d", stage, p), err.Error())
+			return nil, false
+		}
+		return ref, true
 	}
 	sortCol := filterCol(w, ops)
 	for _, p := range []int{1, 2, 7} {
@@ -124,31 +164,29 @@ func (e *Env) checkPaged(ctx context.Context, w *Workload, dir, family string, o
 			continue
 		}
 		if compact {
+			ref, ok := oracleOf(st, "precompact", p)
+			if !ok {
+				continue
+			}
+			pass(st, ref, "precompact", p)
 			if _, err := st.Compact(segstore.CompactOptions{}); err != nil {
 				fail(fmt.Sprintf("compact p=%d", p), err.Error())
 				continue
 			}
 		}
-		full, err := st.Scan(ctx, engine.Pushdown{})
-		if err != nil {
-			fail(fmt.Sprintf("full p=%d", p), err.Error())
+		ref, ok := oracleOf(st, "cold", p)
+		if !ok {
 			continue
 		}
-		ref, err := oracle.RunStage(full, ops)
-		if err != nil {
-			fail(fmt.Sprintf("oracle p=%d", p), err.Error())
-			continue
+		pass(st, ref, "cold", p)
+		pass(st, ref, "warm", p)
+		live := map[string]bool{}
+		for _, path := range st.SegmentPaths() {
+			live[path] = true
 		}
-		for name, run := range subjects {
-			for _, exec := range []engine.Executor{e.Local, e.driver()} {
-				got, stats, err := run(ctx, exec, st)
-				where := fmt.Sprintf("%s-%s p=%d", name, exec.Name(), p)
-				if err != nil {
-					fail(where, err.Error())
-				} else if d := DiffExact(ref, got); d != "" {
-					fail(where, d)
-				}
-				pruned += stats.PagesPruned
+		for _, path := range st.CachedSegments() {
+			if !live[path] {
+				fail(fmt.Sprintf("cache p=%d", p), "cache entry left for retired segment "+path)
 			}
 		}
 	}

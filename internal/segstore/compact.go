@@ -179,7 +179,7 @@ func (st *Store) compactGroup(schema relation.Schema, grp []manifestSeg) error {
 	mSegmentsWritten.Inc()
 	for _, e := range grp {
 		old := filepath.Join(st.dir, e.Name)
-		delete(st.foots, old)
+		st.dropEntryLocked(old)
 		st.retired = append(st.retired, old)
 	}
 	return nil

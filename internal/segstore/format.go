@@ -626,13 +626,16 @@ func parseZone(rd *reader, nrows int, ver byte, seg *ZoneMap) (ZoneMap, error) {
 // Segment is an open segment file: footer parsed and validated, chunks
 // read lazily per column. The zero decode guarantee lives here — only
 // ReadRanges touches chunk bytes, and only for the columns and pages
-// asked.
+// asked. A segment read through its store (Store.Scan) takes its footer
+// and dictionaries from the store's cache entry instead of the file;
+// the decode path is the same.
 type Segment struct {
-	path string
-	r    io.ReaderAt
-	f    *os.File // non-nil when opened from a path (owned; Close closes it)
-	mm   []byte   // non-nil when the file is mmapped (Close unmaps)
-	foot *footer
+	path  string
+	r     io.ReaderAt
+	f     *os.File  // non-nil when opened from a path (owned; Close closes it)
+	mm    []byte    // non-nil when the file is mmapped (Close unmaps)
+	foot  *footer   // parsed here, or the store's cached footer
+	entry *segEntry // non-nil when read through a store's cache (cache.go)
 }
 
 // OpenSegment opens a segment file and validates its header, trailer
@@ -641,26 +644,36 @@ type Segment struct {
 // with per-chunk pread copies; a failed map silently falls back to file
 // reads, and the CRC/footer validation is identical either way.
 func OpenSegment(path string) (*Segment, error) {
-	f, err := os.Open(path)
+	g, size, err := openSegmentFile(path)
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	g, err := OpenSegmentReaderAt(f, st.Size())
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	g.path, g.f = path, f
-	if mm, err := mmapFile(f, st.Size()); err == nil {
+	if mm, err := mmapFile(g.f, size); err == nil {
 		g.mm = mm
 		mSegmentsMmapped.Inc()
 	}
 	return g, nil
+}
+
+// openSegmentFile opens path and validates its header, trailer and
+// footer, reading with pread; it also returns the file size.
+func openSegmentFile(path string) (*Segment, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	g, err := OpenSegmentReaderAt(f, st.Size())
+	if err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	g.path, g.f = path, f
+	return g, st.Size(), nil
 }
 
 // OpenSegmentReaderAt opens a segment over any ReaderAt (the fuzz
@@ -722,23 +735,29 @@ func (g *Segment) Close() error {
 	return nil
 }
 
-// sliceAt returns the chunk bytes [off, off+size): a zero-copy window
-// into the mapping when the segment is mmapped, a pread copy otherwise.
-// The footer parser already proved the range lies inside the data
-// region. Handing the mapping out directly is safe because colcodec's
-// decoders never retain their input: strings and byte cells are copied
-// out during decode, both from the chunk itself and from the pooled
-// buffer a compressed chunk inflates into, so no decoded Value outlives
-// the mapping's Close or the buffer's reuse by the next decode.
-func (g *Segment) sliceAt(off, size int64) ([]byte, error) {
+// sliceAt returns the bytes [off, off+size): a zero-copy window into
+// the mapping when the segment is mmapped (OpenSegment), else one
+// ReadAt into buf, grown as needed, so the result aliases buf and is
+// only good until buf's next use. A store read (Store.Scan) never maps:
+// it reads only the selected pages, one ReadAt per column per run of
+// adjacent pages. The footer parser already proved the range lies
+// inside the data region. Handing out the mapping, or reusing buf, is
+// safe because colcodec's decoders never retain their input: strings
+// and byte cells are copied out during decode, both from the chunk
+// itself and from the pooled buffer a compressed chunk inflates into,
+// so no decoded Value outlives the mapping's Close or buf's reuse.
+func (g *Segment) sliceAt(buf *[]byte, off, size int64) ([]byte, error) {
 	if g.mm != nil && off >= 0 && size >= 0 && off+size <= int64(len(g.mm)) {
 		return g.mm[off : off+size : off+size], nil
 	}
-	chunk := make([]byte, size)
-	if _, err := g.r.ReadAt(chunk, off); err != nil {
+	if int64(cap(*buf)) < size {
+		*buf = make([]byte, size)
+	}
+	b := (*buf)[:size]
+	if _, err := g.r.ReadAt(b, off); err != nil {
 		return nil, err
 	}
-	return chunk, nil
+	return b, nil
 }
 
 // Rows returns the segment's row count (from the footer, no decode).
@@ -794,6 +813,7 @@ func (g *Segment) ReadRanges(cols []string, ranges []engine.RowRange) (relation.
 	}
 	outCols := make([]relation.Column, w)
 	var decoded int64
+	var buf []byte // pread scratch, reused across columns and page runs
 	for mi, ci := range metas {
 		c := &g.foot.cols[ci]
 		outCols[mi] = relation.Column{Name: c.name, Kind: c.kind}
@@ -803,7 +823,7 @@ func (g *Segment) ReadRanges(cols []string, ranges []engine.RowRange) (relation.
 			if n == 0 {
 				continue
 			}
-			chunk, err := g.sliceAt(c.off, c.size)
+			chunk, err := g.sliceAt(&buf, c.off, c.size)
 			if err != nil {
 				return relation.Schema{}, nil, fmt.Errorf("segstore: %s: column %q chunk: %w", g.path, c.name, err)
 			}
@@ -815,27 +835,37 @@ func (g *Segment) ReadRanges(cols []string, ranges []engine.RowRange) (relation.
 		}
 		var dict []relation.Value
 		if c.dict > 0 && len(pages) > 0 {
-			b, err := g.sliceAt(c.off, c.dict)
-			if err != nil {
+			var read int64
+			var err error
+			if dict, read, err = g.dictionary(&buf, ci); err != nil {
 				return relation.Schema{}, nil, fmt.Errorf("segstore: %s: column %q dictionary: %w", g.path, c.name, err)
 			}
-			decoded += c.dict
-			if dict, err = colcodec.DecodeDict(b); err != nil {
-				return relation.Schema{}, nil, fmt.Errorf("segstore: %s: column %q dictionary: %w", g.path, c.name, err)
-			}
+			decoded += read
 		}
 		at := 0
-		for _, pg := range pages {
-			pc := pg.cols[ci]
-			b, err := g.sliceAt(pc.off, pc.size)
+		for p := 0; p < len(pages); {
+			// One read covers the run of pages whose payloads are
+			// adjacent in the file.
+			first := pages[p].cols[ci]
+			q, end := p+1, first.off+first.size
+			for q < len(pages) && pages[q].cols[ci].off == end {
+				end += pages[q].cols[ci].size
+				q++
+			}
+			run, err := g.sliceAt(&buf, first.off, end-first.off)
 			if err != nil {
 				return relation.Schema{}, nil, fmt.Errorf("segstore: %s: column %q page: %w", g.path, c.name, err)
 			}
-			decoded += pc.size
-			if err := colcodec.DecodePage(dict, b, rows[at:at+pg.rows], mi); err != nil {
-				return relation.Schema{}, nil, fmt.Errorf("segstore: %s: column %q rows [%d,%d): %w", g.path, c.name, pg.start, pg.start+pg.rows, err)
+			decoded += end - first.off
+			for ; p < q; p++ {
+				pg := pages[p]
+				pc := pg.cols[ci]
+				b := run[pc.off-first.off : pc.off-first.off+pc.size]
+				if err := colcodec.DecodePage(dict, b, rows[at:at+pg.rows], mi); err != nil {
+					return relation.Schema{}, nil, fmt.Errorf("segstore: %s: column %q rows [%d,%d): %w", g.path, c.name, pg.start, pg.start+pg.rows, err)
+				}
+				at += pg.rows
 			}
-			at += pg.rows
 		}
 	}
 	mSegmentsScanned.Inc()
@@ -848,6 +878,33 @@ func (g *Segment) ReadRanges(cols []string, ranges []engine.RowRange) (relation.
 		mPagesScanned.Add(int64(len(pages)))
 	}
 	return relation.Schema{Cols: outCols}, rows, nil
+}
+
+// dictionary returns column ci's decoded dictionary and the bytes read
+// for it: none when the segment's store has it cached, else the
+// dictionary payload, which is decoded and then cached. A failed decode
+// is not cached, so it fails every read.
+func (g *Segment) dictionary(buf *[]byte, ci int) ([]relation.Value, int64, error) {
+	if g.entry != nil {
+		if dict := g.entry.lru.get(g.entry, ci); dict != nil {
+			mDictHits.Inc()
+			return dict, 0, nil
+		}
+		mDictMisses.Inc()
+	}
+	c := &g.foot.cols[ci]
+	b, err := g.sliceAt(buf, c.off, c.dict)
+	if err != nil {
+		return nil, 0, err
+	}
+	dict, err := colcodec.DecodeDict(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	if g.entry != nil {
+		g.entry.lru.put(g.entry, ci, dict)
+	}
+	return dict, c.dict, nil
 }
 
 // selectPages resolves row ranges to the pages they cover and their

@@ -29,6 +29,12 @@ var (
 		"Segment pages decoded for a scan (a v1/v2 segment counts as one page).")
 	mPagesPruned = telemetry.Default().Counter("segstore_pages_pruned_total",
 		"Pages of live segments skipped by page zone maps (their bytes never read).")
+	mDictHits = telemetry.Default().Counter("segstore_dict_cache_hits_total",
+		"Chunk dictionaries a store scan took from the store's cache (bytes neither read nor decoded).")
+	mDictMisses = telemetry.Default().Counter("segstore_dict_cache_misses_total",
+		"Chunk dictionaries a store scan read and decoded because its store had none cached.")
+	mDictEvictions = telemetry.Default().Counter("segstore_dict_cache_evictions_total",
+		"Decoded dictionaries evicted from a store's cache to stay within its byte budget.")
 )
 
 // metricNames lists the families this package must register.
@@ -42,6 +48,9 @@ var metricNames = []string{
 	"segstore_mmap_segments_total",
 	"segstore_pages_scanned_total",
 	"segstore_pages_pruned_total",
+	"segstore_dict_cache_hits_total",
+	"segstore_dict_cache_misses_total",
+	"segstore_dict_cache_evictions_total",
 }
 
 // VerifyMetrics is the vet-metrics gate for the segstore catalogue: it

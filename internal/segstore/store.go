@@ -142,7 +142,8 @@ type Store struct {
 	segs   []manifestSeg
 	gen    uint64 // committed manifest generation (seal counter)
 	nextID int
-	foots  map[string]*footer // pruning footer cache, keyed by path
+	cache  map[string]*segEntry // per committed segment, keyed by path (cache.go)
+	dicts  dictLRU              // the entries' decoded dictionaries
 
 	// logSize is the manifest log's length; rewriteLog is set when its
 	// tail may hold a torn or uncommitted frame, so the next commit must
@@ -173,7 +174,8 @@ func Open(dir string, schema relation.Schema, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, opts: opts, schema: schema, foots: map[string]*footer{}}
+	st := &Store{dir: dir, opts: opts, schema: schema, cache: map[string]*segEntry{}}
+	st.dicts.budget = dictCacheBytes
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -732,33 +734,13 @@ func (st *Store) AnswerSegments(pd engine.Pushdown, groupBy []string, aggs []eng
 	return refs, nil
 }
 
-// loadFooter returns the segment's footer for pruning, cached per path
-// (segments are immutable, so a footer never goes stale).
+// loadFooter returns the segment's footer from its cache entry.
 func (st *Store) loadFooter(path string) (*footer, error) {
-	st.mu.Lock()
-	foot := st.foots[path]
-	st.mu.Unlock()
-	if foot != nil {
-		return foot, nil
-	}
-	g, err := OpenSegment(path)
+	e, err := st.entry(path)
 	if err != nil {
 		return nil, err
 	}
-	g.Close() // footer already parsed; chunks are read elsewhere
-	foot = g.foot
-	if DebugZoneMutate != nil {
-		for i := range foot.cols {
-			DebugZoneMutate(foot.cols[i].name, -1, len(foot.pages), &foot.cols[i].zone)
-			for p := range foot.pages {
-				DebugZoneMutate(foot.cols[i].name, p, len(foot.pages), &foot.pages[p].cols[i].zone)
-			}
-		}
-	}
-	st.mu.Lock()
-	st.foots[path] = foot
-	st.mu.Unlock()
-	return foot, nil
+	return e.foot, nil
 }
 
 // Scan implements engine.ScanSource: one partition per committed
@@ -767,7 +749,8 @@ func (st *Store) loadFooter(path string) (*footer, error) {
 // stay stable either way), columns restricted to pd.Cols when
 // non-nil, and each segment restricted to its ref's page Ranges. The
 // live segments decode in parallel on a GOMAXPROCS-sized worker pool
-// (the engine.Local default), each straight into its own partition; the
+// (the engine.Local default), each through its cache entry (cache.go)
+// straight into its own partition; the
 // result and the error reported are those of a serial scan in manifest
 // order.
 func (st *Store) Scan(ctx context.Context, pd engine.Pushdown) (*relation.Relation, error) {
@@ -794,7 +777,7 @@ func (st *Store) Scan(ctx context.Context, pd engine.Pushdown) (*relation.Relati
 		if ref.Skip() {
 			return nil
 		}
-		s, rows, err := ReadSegmentRows(ref.Path, ref.Cols, ref.Ranges)
+		s, rows, err := st.readSegment(ref)
 		if err != nil {
 			return err
 		}
